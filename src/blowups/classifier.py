@@ -4,8 +4,15 @@ A blowup with positive primitive weights n is eps-log terminal exactly when
 the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 (p = n/V), and eps-log canonical exactly when it is hollow.  `classify` runs
 the geometric test; `is_terminal_fast` and `is_canonical_fast` are eps = 1
-shortcuts on fractional-part sums whose agreement with `classify` is enforced
-by the test suite before any caller is allowed to rely on them.
+shortcuts on fractional-part sums (the Reid-Tai criterion) whose agreement
+with `classify` is enforced by the test suite before any caller is allowed to
+rely on them.
+
+The shortcuts visit only k in [1, V//2].  The residues of k and V-k are
+complementary (k*n_i mod V and (V-k)*n_i mod V add up to V unless both are
+0), so the residue sums satisfy s(k) + s(V-k) = (d - z(k))*V, where z(k)
+counts the zero residues, and one pass over the weights decides both k and
+V-k.
 """
 
 from __future__ import annotations
@@ -77,18 +84,41 @@ def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     return SingularityClass(eps, terminal, canonical, witness)
 
 
-def is_terminal_fast(n: WeightVector) -> bool:
-    """Terminality via fractional-part sums: sum_i {k*n_i/V} > 1 for all k.
+def _reid_tai(n: WeightVector, canonical: bool) -> bool:
+    """The eps = 1 residue loop of both fast paths, over k in [1, V//2].
 
-    Integer form: sum_i (k*n_i mod V) > V for every k in [1, V-1].
+    s sums the nonzero residues k*n_i mod V and z counts the zero ones; k and
+    V-k are judged together, as z(V-k) = z(k) and s(V-k) = (d - z)*V - s.  At
+    even V, k = V/2 is its own complement and the identity gives s(V-k) = s.
     """
     _require_positive(n)
     V = n.V
     w = n.n
-    for k in range(1, V):
-        if sum((k * ni) % V for ni in w) <= V:
+    dV = len(w) * V
+    for k in range(1, V // 2 + 1):
+        s = z = 0
+        for ni in w:
+            r = k * ni % V
+            if r:
+                s += r
+            else:
+                z += 1
+        if canonical:
+            if not z and (s < V or dV - s < V):
+                return False
+        elif s <= V or dV - z * V - s <= V:
             return False
     return True
+
+
+def is_terminal_fast(n: WeightVector) -> bool:
+    """Terminality via fractional-part sums: sum_i {k*n_i/V} > 1 for all k.
+
+    Integer form: s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
+    Only k <= V//2 is visited: s(V-k) = (d - z(k))*V - s(k), with z(k) the
+    number of residues that vanish, so each k also decides V-k.
+    """
+    return _reid_tai(n, canonical=False)
 
 
 def is_canonical_fast(n: WeightVector) -> bool:
@@ -98,16 +128,10 @@ def is_canonical_fast(n: WeightVector) -> bool:
     its fractional representative has all coordinates nonzero and coordinate
     sum below 1; a zero coordinate parks the whole class on the boundary.
     Hence: canonical iff for every k, some k*n_i vanishes mod V or
-    sum_i (k*n_i mod V) >= V.
+    sum_i (k*n_i mod V) >= V.  Only k <= V//2 is visited: with no zero
+    residue, s(V-k) = d*V - s(k), so each k also decides V-k.
     """
-    _require_positive(n)
-    V = n.V
-    w = n.n
-    for k in range(1, V):
-        res = [(k * ni) % V for ni in w]
-        if 0 not in res and sum(res) < V:
-            return False
-    return True
+    return _reid_tai(n, canonical=True)
 
 
 def kawakita_form(n: WeightVector) -> bool:

@@ -216,8 +216,10 @@ def cmd_width(args) -> int:
         raw = json.loads(args.points)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--points is not valid JSON: {exc}")
+    # type(c) is int, not isinstance: JSON true and false load as bools, and
+    # bool is a subclass of int
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and all(isinstance(c, int) for c in p) for p in raw
+        isinstance(p, list) and all(type(c) is int for c in p) for p in raw
     ):
         raise ValueError("--points must be a JSON array of integer arrays")
     cfg = projections.ProjectedConfig(
@@ -417,8 +419,12 @@ def main(argv=None) -> int:
     except (BudgetExceeded, OracleCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        # str() of a KeyError quotes its message as a repr; print the message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

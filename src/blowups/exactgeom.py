@@ -53,11 +53,11 @@ class WeightVector:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = tuple(int(v) for v in self.n)
+        n = tuple(map(int, self.n))
         object.__setattr__(self, "n", n)
         if len(n) < 2:
             raise ValueError("need at least two weights")
-        if any(v < 0 for v in n):
+        if min(n) < 0:
             raise ValueError(f"negative weight in {n}")
         if sum(n) < 2:
             raise ValueError(f"index of {n} would be {sum(n) - 1} < 1")

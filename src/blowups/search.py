@@ -8,6 +8,7 @@ merged in V order so the output is identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,9 +90,9 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
         raise ValueError("need d >= 2 and V >= 1")
 
     def parts(prefix: tuple[int, ...], remaining: int, slots: int, lo: int):
-        if slots == 1:
-            if remaining >= lo:
-                yield prefix + (remaining,)
+        if slots == 2:
+            for v in range(lo, remaining // 2 + 1):
+                yield prefix + (v, remaining - v)
             return
         for v in range(lo, remaining // slots + 1):
             yield from parts(prefix + (v,), remaining - v, slots - 1, v)
@@ -150,6 +151,11 @@ def _census_block(args: tuple[CensusQuery, int]) -> tuple[int, dict[int, int], l
     return V, counts, hits
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start: no more than asked, than tasks, or than CPUs."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     """Classify every candidate in the index range and aggregate smallest weights.
 
@@ -173,6 +179,7 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
             f"projected {projected} candidates exceed budget {q.budget}"
         )
     tasks = [(q, V) for V in range(q.v_min, q.v_max + 1)]
+    workers = pool_size(workers, len(tasks))
     if workers <= 1:
         blocks = [_census_block(t) for t in tasks]
     else:

@@ -142,12 +142,43 @@ def test_kawakita_equivalence_exhaustive():
 
 
 def test_fast_geometric_agreement_exhaustive_small():
-    for d, vmax in ((2, 30), (3, 25), (4, 16)):
+    for d, vmax in ((2, 30), (3, 25), (4, 16), (5, 10)):
         for V in range(1, vmax + 1):
             for w in enumerate_blowups(d, V):
                 v = classify(w, 1)
                 assert is_terminal_fast(w) == v.eps_log_terminal, w.n
                 assert is_canonical_fast(w) == v.eps_log_canonical, w.n
+
+
+def _terminal_full_range(w: WeightVector) -> bool:
+    # the Reid-Tai test over every k in [1, V-1], as first written
+    V = w.V
+    for k in range(1, V):
+        if sum((k * ni) % V for ni in w.n) <= V:
+            return False
+    return True
+
+
+def _canonical_full_range(w: WeightVector) -> bool:
+    V = w.V
+    for k in range(1, V):
+        res = [(k * ni) % V for ni in w.n]
+        if 0 not in res and sum(res) < V:
+            return False
+    return True
+
+
+def test_fast_paths_match_full_range_reference():
+    # the fast paths visit k <= V/2 only; odd and even V both occur, and at
+    # even V the middle residue k = V/2 is its own complement
+    parities = set()
+    for d, vmax in ((2, 300), (3, 100), (4, 40), (5, 24)):
+        for V in range(1, vmax + 1):
+            for w in enumerate_blowups(d, V):
+                parities.add(V % 2)
+                assert is_terminal_fast(w) == _terminal_full_range(w), w.n
+                assert is_canonical_fast(w) == _canonical_full_range(w), w.n
+    assert parities == {0, 1}
 
 
 @given(weight_vectors(max_d=5, max_index=200))

@@ -126,7 +126,9 @@ def test_family_bound_mode(capsys):
 
 
 def test_family_unknown_id(capsys):
-    assert run(capsys, "family", "--id", "Q99", "--apex", "1")[0] == 2
+    code, _, err = run(capsys, "family", "--id", "Q99", "--apex", "1")
+    assert code == 2
+    assert err == "error: unknown quintuple label 'Q99'\n"
 
 
 def test_family_table(capsys):
@@ -166,6 +168,9 @@ def test_width_triangle(capsys):
 def test_width_bad_input(capsys):
     assert run(capsys, "width", "--points", "[[0,0],[0,0]]")[0] == 2
     assert run(capsys, "width", "--points", "not json")[0] == 2
+    code, _, err = run(capsys, "width", "--points", "[[0,0],[true,0],[0,true]]")
+    assert code == 2
+    assert "must be a JSON array of integer arrays" in err
 
 
 # ----------------------------------------------------------------- sporadic

@@ -13,6 +13,7 @@ from blowups.search import (
     Histogram,
     enumerate_blowups,
     partition_count,
+    pool_size,
     projected_candidates,
     run_census,
     verify_family,
@@ -109,6 +110,18 @@ def test_census_deterministic_across_workers():
     c = run_census(q, workers=3)
     assert a.histogram.counts == b.histogram.counts == c.histogram.counts
     assert a.hits == b.hits == c.hits
+
+
+def test_pool_size_clamp(monkeypatch):
+    # a plain function: no pool is started here
+    monkeypatch.setattr("blowups.search.os.cpu_count", lambda: 2)
+    assert pool_size(1, 100) == 1
+    assert pool_size(64, 100) == 2
+    assert pool_size(64, 1) == 1
+    assert pool_size(2, 5) == 2
+    assert pool_size(0, 5) == 1
+    monkeypatch.setattr("blowups.search.os.cpu_count", lambda: None)
+    assert pool_size(8, 8) == 1
 
 
 def test_census_budget_guard():
