@@ -16,7 +16,6 @@ from .classifier import (
     kawakita_form,
 )
 from .exactgeom import (
-    GeneratingPoint,
     LatticeWitness,
     MembershipClass,
     OracleCapExceeded,
@@ -59,7 +58,6 @@ from .sporadic import (
     blowups_from_record,
     parse_dataset,
     record_from_weights,
-    sporadic_histogram,
     sporadic_report,
 )
 

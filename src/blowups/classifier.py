@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import gcd
 
 from .exactgeom import (
-    GeneratingPoint,
     LatticeWitness,
     MembershipClass,
     Rat,
@@ -69,10 +68,10 @@ def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     """
     _require_positive(n)
     eps = Fraction(eps)
-    simplex = ShrunkSimplex(GeneratingPoint(n), eps)
+    simplex = ShrunkSimplex(n, eps)
     interior: LatticeWitness | None = None
     boundary: LatticeWitness | None = None
-    for w in lattice_points_in_shrunk_simplex(simplex, "closed"):
+    for w in lattice_points_in_shrunk_simplex(simplex):
         if w.membership is MembershipClass.INTERIOR:
             interior = w
             break  # witnesses arrive in (k, z) order; first hit is minimal

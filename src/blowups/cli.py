@@ -1,7 +1,8 @@
 """Command-line front end: classification, census, families, widths, sporadic data.
 
 All output pipelines are deterministic: identical inputs and flags produce
-byte-identical output.  Exit codes: 0 success, 2 usage or invalid input,
+byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
+terminal blowup above the smallest-weight bound, 2 usage or invalid input,
 3 resource budget exceeded, 4 data integrity failure.
 """
 
@@ -13,20 +14,13 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
-from .exactgeom import (
-    GeneratingPoint,
-    OracleCapExceeded,
-    ShrunkSimplex,
-    WeightVector,
-    brute_force_lattice_points,
-    lattice_points_in_shrunk_simplex,
-)
-from .search import BudgetExceeded, CensusQuery, enumerate_blowups, run_census
+from .exactgeom import OracleCapExceeded, WeightVector
+from .families import scan_families
+from .search import BudgetExceeded, CensusQuery, run_census
 
 DATASET_ENV = "BLOWUPS_SPORADIC_DATA"
 
@@ -164,47 +158,6 @@ def cmd_family_table(args) -> int:
     return 0
 
 
-def scan_families(v_max: int) -> dict:
-    """Run the blowup recipe over every row, sign, apex and index up to v_max."""
-    produced = 0
-    terminal = 0
-    worst = 0
-    violations = []
-    for q in families.quintuple_table():
-        for sign in families.sign_choices(q):
-            for V in range(1, v_max + 1):
-                try:
-                    families.instantiate(q.label, V, sign)
-                except families.DivisibilityError:
-                    continue
-                for apex in families.APICES:
-                    w = families.blowup_from_quintuple(q.label, apex, V, sign)
-                    if w is None:
-                        continue
-                    produced += 1
-                    if is_terminal_fast(w):
-                        terminal += 1
-                        worst = max(worst, w.n_min)
-                        if w.n_min > 6:
-                            violations.append(
-                                {
-                                    "id": q.label,
-                                    "apex": apex,
-                                    "V": V,
-                                    "sign": "+" if sign == 1 else "-",
-                                    "weights": list(w.n),
-                                    "n_min": w.n_min,
-                                }
-                            )
-    return {
-        "v_max": v_max,
-        "blowups": produced,
-        "terminal": terminal,
-        "max_terminal_n_min": worst,
-        "violations": violations,
-    }
-
-
 def cmd_family_scan(args) -> int:
     payload = scan_families(args.vmax)
     _emit(_json(payload), args.out)
@@ -267,79 +220,6 @@ def cmd_sporadic(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    # Dimension-3 exhaustive check against the (1, a, b) normal form.
-    def kawakita_small() -> bool:
-        for V in range(1, 51):
-            found = {
-                w.n for w in enumerate_blowups(3, V) if is_terminal_fast(w)
-            }
-            expected = {
-                tuple(sorted((1, a, V - a)))
-                for a in range(1, V)
-                if gcd(a, V - a) == 1
-            }
-            if found != expected:
-                return False
-        return True
-
-    # Coset enumeration against the brute-force original-coordinates scan.
-    def oracle_equivalence() -> bool:
-        for d in (2, 3):
-            for V in range(1, 21):
-                for w in enumerate_blowups(d, V):
-                    for eps in (Fraction(1), Fraction(1, 2)):
-                        simplex = ShrunkSimplex(GeneratingPoint(w), eps)
-                        coset = sorted(
-                            x.membership.value
-                            for x in lattice_points_in_shrunk_simplex(simplex)
-                        )
-                        brute = sorted(
-                            c.value for _, c in brute_force_lattice_points(w, eps)
-                        )
-                        if coset != brute:
-                            return False
-        return True
-
-    def fixtures() -> bool:
-        for r in sporadic.EMBEDDED_RECORDS:
-            blowups = sporadic.blowups_from_record(r)
-            if not blowups:
-                return False
-            for _, w in blowups:
-                if not classify(w, 1).eps_log_terminal:
-                    return False
-                back = sporadic.record_from_weights(w)
-                recovered = dict(sporadic.blowups_from_record(back))
-                if recovered.get(5) != w:
-                    return False
-        return True
-
-    def table() -> bool:
-        rows = families.quintuple_table()
-        if len(rows) != 46 or any(sum(q.base) != 0 for q in rows):
-            return False
-        flagged = {q.label for q in rows if not families.check_ratio_lemma(q.label)}
-        return len(flagged) == 18 and "Q29" in flagged and "N5" in flagged
-
-    return [
-        ("kawakita-form census V<=50", kawakita_small),
-        ("coset/brute-force agreement V<=20", oracle_equivalence),
-        ("sporadic fixtures", fixtures),
-        ("quintuple table integrity", table),
-    ]
-
-
-def cmd_selftest(args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        ok = check()
-        print(("ok   " if ok else "FAIL ") + name)
-        if not ok:
-            failures += 1
-    return 0 if failures == 0 else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowups",
@@ -396,14 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", action="store_true",
                    help="force the embedded fixture records")
     p.add_argument("--strict", action="store_true", help="strict dataset parsing")
-    p.add_argument("--histogram", action="store_true",
-                   help="accepted for compatibility; the histogram is always computed")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_sporadic)
-
-    p = sub.add_parser("selftest", help="run the embedded fixture suite")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -79,15 +79,24 @@ class WeightVector:
     def all_positive(self) -> bool:
         return all(v > 0 for v in self.n)
 
-    def sorted(self) -> "WeightVector":
-        return WeightVector(tuple(sorted(self.n)))
-
 
 @dataclass(frozen=True)
-class GeneratingPoint:
-    """The point p = n/V whose coset lattice Z^d + Z*p has order V over Z^d."""
+class ShrunkSimplex:
+    """The standard simplex shrunk towards p = n/V by a rational factor eps.
+
+    p generates the cyclic lattice Z^d + Z*p of order V over Z^d.  Vertices:
+    the apex (1-eps)*p and, per axis i, p + eps*(e_i - p).  eps = 1
+    reproduces the standard simplex Conv(0, e_1, ..., e_d).
+    """
 
     weights: WeightVector
+    eps: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        eps = Fraction(self.eps)
+        object.__setattr__(self, "eps", eps)
+        if not 0 < eps <= 1:
+            raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
 
     @property
     def d(self) -> int:
@@ -102,35 +111,9 @@ class GeneratingPoint:
         V = self.V
         return tuple(Fraction(v, V) for v in self.weights.n)
 
-
-@dataclass(frozen=True)
-class ShrunkSimplex:
-    """The standard simplex shrunk towards p by a rational factor eps.
-
-    Vertices: the apex (1-eps)*p and, per axis i, p + eps*(e_i - p).
-    eps = 1 reproduces the standard simplex Conv(0, e_1, ..., e_d).
-    """
-
-    point: GeneratingPoint
-    eps: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        eps = Fraction(self.eps)
-        object.__setattr__(self, "eps", eps)
-        if not 0 < eps <= 1:
-            raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
-
-    @property
-    def d(self) -> int:
-        return self.point.d
-
-    @property
-    def V(self) -> int:
-        return self.point.V
-
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         """Apex first, then the d axis vertices."""
-        p = self.point.p
+        p = self.p
         apex = tuple((1 - self.eps) * pi for pi in p)
         axis = [
             tuple(apex[j] + (self.eps if j == i else 0) for j in range(self.d))
@@ -166,7 +149,7 @@ def classify_point(x: Sequence[Rat | int], s: ShrunkSimplex) -> MembershipClass:
     if len(x) != s.d:
         raise ValueError(f"point has dimension {len(x)}, simplex has {s.d}")
     e = s.eps
-    p = s.point.p
+    p = s.p
     y = [(Fraction(xi) - (1 - e) * pi) / e for xi, pi in zip(x, p)]
     coords = [1 - sum(y), *y]
     return _barycentric_class(coords, 1)
@@ -188,19 +171,15 @@ def _translate_range(num: int, den: int, span: int) -> range:
     return range(-((-num) // den), (num + span) // den + 1)
 
 
-def lattice_points_in_shrunk_simplex(
-    s: ShrunkSimplex, mode: str = "closed"
-) -> list[LatticeWitness]:
-    """All points of Z^d + Z*p in the open interior or the closed simplex.
+def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
+    """All points of Z^d + Z*p in the closed simplex, with their classes.
 
     For each residue k in [0, V-1] the fractional representative of k*p is
     translated per axis by the at most two integers that land the coordinate
     inside [(1-eps)*p_i, (1-eps)*p_i + eps].  Witnesses come out ordered by
     (k, z) with z lexicographic, which downstream code relies on.
     """
-    if mode not in ("open", "closed"):
-        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    n = s.point.weights.n
+    n = s.weights.n
     V, d = s.V, s.d
     a, b = s.eps.numerator, s.eps.denominator
     scale = a * V
@@ -223,8 +202,6 @@ def lattice_points_in_shrunk_simplex(
                 ]
                 cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
                 if cls is MembershipClass.OUTSIDE:
-                    continue
-                if mode == "open" and cls is not MembershipClass.INTERIOR:
                     continue
                 point = tuple(
                     Fraction(fj + V * zj, V) for fj, zj in zip(fr, z)

@@ -10,7 +10,9 @@ A blowup is extracted from a family instance at index V by distinguishing an
 apex entry: if that entry is a unit mod V, scale the quintuple so the apex
 becomes -1, drop it, and keep the residues of the remaining four entries in
 [0, V-1]; they are blowup weights precisely when they add up to V + 1 (the
-result is then validated to be positive and primitive).
+result is then validated to be positive and primitive).  `apex_residues` is
+that recipe, shared with the sporadic records; `scan_families` runs it over
+the whole table.
 
 A note on the ratio criterion (`check_ratio_lemma`): the underlying
 one-dimensional bound caps the smallest weight of every blowup in the family,
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .classifier import is_terminal_fast
 from .exactgeom import WeightVector
 
 
@@ -148,6 +151,32 @@ def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def apex_residues(
+    a: tuple[int, ...], apex: int, V: int
+) -> tuple[int, ...] | None:
+    """The apex recipe: the residues left when entry `apex` is scaled to -1.
+
+    `a` is any tuple of integer representatives of residues mod V and `apex`
+    is 1-based.  Returns the other entries times -1/a_apex, reduced into
+    [0, V-1], when a_apex is a unit mod V and they add up to V + 1; otherwise
+    None.  Whether the result is positive and primitive is left to the
+    caller.  At V = 1 the inverse is 0, so the sum check fails.
+    """
+    al = a[apex - 1] % V
+    if gcd(al, V) != 1:
+        return None
+    unit = -pow(al, -1, V)
+    w = tuple(x * unit % V for i, x in enumerate(a) if i != apex - 1)
+    return w if sum(w) == V + 1 else None
+
+
+def _blowup(a: tuple[int, ...], apex: int, V: int) -> WeightVector | None:
+    w = apex_residues(a, apex, V)
+    if w is None or min(w) < 1 or gcd(*w) != 1:
+        return None
+    return WeightVector(w)
+
+
 def blowup_from_quintuple(
     label: str, apex: int, V: int, sign: int = 1
 ) -> WeightVector | None:
@@ -159,17 +188,52 @@ def blowup_from_quintuple(
     """
     if apex not in APICES:
         raise ValueError(f"apex must be in {APICES}")
-    a = instantiate(label, V, sign)
-    al = a[apex - 1] % V
-    if V == 1 or gcd(al, V) != 1:
-        return None
-    unit = (-pow(al, -1, V)) % V
-    w = tuple((ai * unit) % V for i, ai in enumerate(a) if i != apex - 1)
-    if sum(w) != V + 1:
-        return None
-    if min(w) < 1 or gcd(*w) != 1:
-        return None
-    return WeightVector(w)
+    return _blowup(instantiate(label, V, sign), apex, V)
+
+
+def scan_families(v_max: int) -> dict:
+    """Run the blowup recipe over every row, sign, apex and index up to v_max.
+
+    A violation is a terminal blowup with smallest weight above 6, which the
+    one-dimensional bounds rule out.
+    """
+    produced = 0
+    terminal = 0
+    worst = 0
+    violations = []
+    for q in _TABLE:
+        for sign in sign_choices(q):
+            for V in range(1, v_max + 1):
+                try:
+                    a = instantiate(q.label, V, sign)
+                except DivisibilityError:
+                    continue
+                for apex in APICES:
+                    w = _blowup(a, apex, V)
+                    if w is None:
+                        continue
+                    produced += 1
+                    if is_terminal_fast(w):
+                        terminal += 1
+                        worst = max(worst, w.n_min)
+                        if w.n_min > 6:
+                            violations.append(
+                                {
+                                    "id": q.label,
+                                    "apex": apex,
+                                    "V": V,
+                                    "sign": "+" if sign == 1 else "-",
+                                    "weights": list(w.n),
+                                    "n_min": w.n_min,
+                                }
+                            )
+    return {
+        "v_max": v_max,
+        "blowups": produced,
+        "terminal": terminal,
+        "max_terminal_n_min": worst,
+        "violations": violations,
+    }
 
 
 def bound_dim1(

@@ -104,7 +104,10 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
 
 @lru_cache(maxsize=None)
 def _partition_row(m_max: int, parts: int) -> tuple[int, ...]:
-    # p(j, k) = p(j-1, k-1) + p(j-k, k), filled iteratively row by row
+    # p(j, k) = p(j-1, k-1) + p(j-k, k), filled iteratively row by row; no
+    # j <= m_max has more than m_max parts, so a longer loop would add zeros
+    if parts > m_max:
+        return (0,) * (m_max + 1)
     prev = (1,) + (0,) * m_max
     for k in range(1, parts + 1):
         cur = [0] * (m_max + 1)
@@ -124,6 +127,12 @@ def partition_count(m: int, parts: int) -> int:
 
 
 def projected_candidates(q: CensusQuery) -> int:
+    """Upper bound on the candidates a census enumerates, used for the budget.
+
+    It counts every partition of V + 1 into d parts, imprimitive ones
+    included, so it exceeds what `enumerate_blowups` yields: 26,385 against
+    24,308 for d = 4, V <= 60.
+    """
     row = _partition_row(q.v_max + 1, q.d)
     return sum(row[V + 1] for V in range(q.v_min, q.v_max + 1))
 

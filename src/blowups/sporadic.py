@@ -4,7 +4,7 @@ Each record is a pair (V, b) with V the normalised volume and b five residues
 mod V summing to 0: b/V are barycentric coordinates of a generator of the
 simplex's lattice over Z^4.  A record yields up to five blowups, one per
 entry of b that is a unit mod V, by scaling that entry to -1 and keeping the
-remaining residues when they add up to V + 1.
+remaining residues when they add up to V + 1 (`families.apex_residues`).
 
 The published classification has 2641 records and yields 4620 blowups when
 counted per (record, apex) pair; that counting convention is used for the
@@ -20,6 +20,7 @@ from math import gcd
 from pathlib import Path
 
 from .exactgeom import WeightVector
+from .families import APICES, apex_residues
 from .search import Histogram
 
 
@@ -112,22 +113,17 @@ def blowups_from_record(r: SporadicRecord) -> list[tuple[int, WeightVector]]:
 
     Returns (apex, weights) pairs with apex 1-based.  Duplicates arising from
     record symmetries are retained; deduplicate at histogram level if needed.
+    Residues that sum to V + 1 but are not positive primitive weights mean the
+    record itself is wrong, so they raise instead of being skipped.
     """
-    V = r.V
-    if V == 1:
-        return []
     out: list[tuple[int, WeightVector]] = []
-    for apex in range(1, 6):
-        bl = r.b[apex - 1]
-        if gcd(bl, V) != 1:
-            continue
-        unit = (-pow(bl, -1, V)) % V
-        w = tuple((x * unit) % V for i, x in enumerate(r.b) if i != apex - 1)
-        if sum(w) != V + 1:
+    for apex in APICES:
+        w = apex_residues(r.b, apex, r.V)
+        if w is None:
             continue
         if min(w) < 1 or gcd(*w) != 1:
             raise DatasetIntegrityError(
-                f"record (V={V}, b={r.b}) apex {apex}: residues {w} sum to "
+                f"record (V={r.V}, b={r.b}) apex {apex}: residues {w} sum to "
                 "V+1 but are not positive primitive weights"
             )
         out.append((apex, WeightVector(w)))
@@ -141,15 +137,6 @@ def record_from_weights(n: WeightVector) -> SporadicRecord:
     if not n.all_positive():
         raise ValueError("weights must be positive")
     return SporadicRecord(n.V, (*n.n, n.V - 1))
-
-
-def sporadic_histogram(records) -> Histogram:
-    """Smallest-weight counts over all (record, apex) blowups."""
-    hist = Histogram()
-    for r in records:
-        for _, w in blowups_from_record(r):
-            hist.add(w.n_min)
-    return hist
 
 
 def sporadic_report(records) -> dict:

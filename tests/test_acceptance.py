@@ -28,7 +28,7 @@ from blowups.sporadic import (
     blowups_from_record,
     parse_dataset,
     record_from_weights,
-    sporadic_histogram,
+    sporadic_report,
 )
 
 F = Fraction
@@ -180,14 +180,15 @@ def test_criterion_6_sporadic_histogram():
     path = _dataset_path()
     if path is not None:
         records = parse_dataset(path)
-        hist = sporadic_histogram(records)
+        report = sporadic_report(records)
+        counts = {int(k): c for k, c in report["histogram"].items()}
         ok = (
             len(records) == 2641
-            and hist.total == 4620
-            and hist.counts == EXPECTED_SPORADIC_TABLE
+            and report["blowups_total"] == 4620
+            and counts == EXPECTED_SPORADIC_TABLE
         )
         _report(6, ok, f"published dataset {path.name}: 2641 records, "
-                       f"{hist.total} blowups, full count table reproduced")
+                       f"{report['blowups_total']} blowups, full count table reproduced")
         return
     ok = True
     for r in EMBEDDED_RECORDS:

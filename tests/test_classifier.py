@@ -15,7 +15,6 @@ from blowups.classifier import (
     kawakita_form,
 )
 from blowups.exactgeom import (
-    GeneratingPoint,
     MembershipClass,
     ShrunkSimplex,
     WeightVector,
@@ -77,7 +76,7 @@ def test_witness_reproduces_refutation():
         v = classify(w, eps)
         if v.witness is None:
             continue
-        s = ShrunkSimplex(GeneratingPoint(w), eps)
+        s = ShrunkSimplex(w, eps)
         assert classify_point(v.witness.point, s) is v.witness.membership
         if not v.eps_log_canonical:
             assert v.witness.membership is MembershipClass.INTERIOR

@@ -145,6 +145,18 @@ def test_family_scan_small(capsys):
     assert doc["terminal"] > 0 and doc["max_terminal_n_min"] <= 6
 
 
+def test_family_scan_violation_exit(capsys, monkeypatch):
+    violation = {"id": "Q1", "apex": 1, "V": 7, "sign": "+",
+                 "weights": [7, 7, 8, 9], "n_min": 7}
+    monkeypatch.setattr(
+        "blowups.cli.scan_families",
+        lambda v_max: {"v_max": v_max, "blowups": 1, "terminal": 1,
+                       "max_terminal_n_min": 7, "violations": [violation]},
+    )
+    code, out, _ = run(capsys, "family-scan", "--vmax", "7")
+    assert code == 1 and json.loads(out)["violations"] == [violation]
+
+
 def test_family_scan_full_range(capsys):
     # all 46 rows, both sign resolutions, every apex, V <= 300
     code, out, _ = run(capsys, "family-scan", "--vmax", "300")
@@ -207,12 +219,3 @@ def test_sporadic_bad_data_exit(tmp_path, capsys):
     data.write_text("245 32 41 71 102 243\n")
     code, _, err = run(capsys, "sporadic", "--input", str(data))
     assert code == 4 and "line 1" in err
-
-
-# ----------------------------------------------------------------- selftest
-
-
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert all(line.startswith("ok") for line in out.strip().splitlines())

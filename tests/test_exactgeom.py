@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowups.exactgeom import (
-    GeneratingPoint,
     MembershipClass,
     OracleCapExceeded,
     ShrunkSimplex,
@@ -26,7 +25,7 @@ F = Fraction
 
 
 def simplex(n, eps=1):
-    return ShrunkSimplex(GeneratingPoint(WeightVector(n)), F(eps))
+    return ShrunkSimplex(WeightVector(n), F(eps))
 
 
 # ---------------------------------------------------------------- types
@@ -48,7 +47,7 @@ def test_weight_vector_invariants():
 
 
 def test_generating_point_identities():
-    g = GeneratingPoint(WeightVector((1, 1, 2, 2)))
+    g = ShrunkSimplex(WeightVector((1, 1, 2, 2)))
     assert sum(g.p) == 1 + F(1, g.V)
     assert all(pi == F(ni, g.V) for pi, ni in zip(g.p, g.weights.n))
 
@@ -67,7 +66,7 @@ def test_shrunk_simplex_rejects_bad_eps():
 
 def test_shrunk_simplex_coordinate_ranges():
     s = simplex((1, 1, 2, 2), F(1, 3))
-    lo = [(1 - s.eps) * pi for pi in s.point.p]
+    lo = [(1 - s.eps) * pi for pi in s.p]
     for v in s.vertices():
         assert all(l <= c <= l + s.eps for l, c in zip(lo, v))
 
@@ -128,7 +127,7 @@ def test_classify_point_dimension_mismatch():
 
 
 def test_enumeration_example_1_2():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 2), 1), "closed")
+    got = lattice_points_in_shrunk_simplex(simplex((1, 2), 1))
     nonvertex = [w for w in got if w.membership is not MembershipClass.VERTEX]
     assert len(nonvertex) == 1
     w = nonvertex[0]
@@ -138,31 +137,17 @@ def test_enumeration_example_1_2():
 
 
 def test_enumeration_example_1_1_1():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 1, 1), 1), "closed")
+    got = lattice_points_in_shrunk_simplex(simplex((1, 1, 1), 1))
     assert all(w.membership is MembershipClass.VERTEX for w in got)
 
 
 def test_enumeration_v1_has_no_nonzero_cosets():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 1), 1), "closed")
+    got = lattice_points_in_shrunk_simplex(simplex((1, 1), 1))
     assert all(w.k == 0 for w in got)
 
 
-def test_enumeration_open_mode_subset_of_closed():
-    s = simplex((2, 3, 5), 1)
-    open_pts = lattice_points_in_shrunk_simplex(s, "open")
-    closed_pts = lattice_points_in_shrunk_simplex(s, "closed")
-    assert all(w.membership is MembershipClass.INTERIOR for w in open_pts)
-    closed_keys = {(w.k, w.z) for w in closed_pts}
-    assert all((w.k, w.z) in closed_keys for w in open_pts)
-
-
-def test_enumeration_bad_mode():
-    with pytest.raises(ValueError):
-        lattice_points_in_shrunk_simplex(simplex((1, 2), 1), "half-open")
-
-
 def test_enumeration_order_is_k_then_lex_z():
-    got = lattice_points_in_shrunk_simplex(simplex((3, 4, 5), 1), "closed")
+    got = lattice_points_in_shrunk_simplex(simplex((3, 4, 5), 1))
     keys = [(w.k, w.z) for w in got]
     assert keys == sorted(keys)
 
@@ -170,8 +155,8 @@ def test_enumeration_order_is_k_then_lex_z():
 @given(weight_vectors(max_index=25), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
 @settings(max_examples=120, deadline=None)
 def test_coset_soundness_and_recheck(w, eps):
-    s = ShrunkSimplex(GeneratingPoint(w), eps)
-    for wit in lattice_points_in_shrunk_simplex(s, "closed"):
+    s = ShrunkSimplex(w, eps)
+    for wit in lattice_points_in_shrunk_simplex(s):
         kp = tuple(F(wit.k * ni, w.V) for ni in w.n)
         assert all((c - r).denominator == 1 for c, r in zip(wit.point, kp))
         assert classify_point(wit.point, s) is wit.membership
@@ -218,8 +203,8 @@ def _class_multiset(witnesses):
 def test_oracle_equivalence_exhaustive(d, vmax, eps):
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
-            s = ShrunkSimplex(GeneratingPoint(w), eps)
-            coset = lattice_points_in_shrunk_simplex(s, "closed")
+            s = ShrunkSimplex(w, eps)
+            coset = lattice_points_in_shrunk_simplex(s)
             brute = brute_force_lattice_points(w, eps)
             assert _class_multiset(coset) == sorted(c.value for _, c in brute)
             # point-level correspondence through the coordinate change
@@ -253,5 +238,5 @@ def test_exactness_everything_is_fraction():
     s = simplex((1, 1, 2, 2), F(2, 3))
     for v in s.vertices():
         assert all(isinstance(c, F) for c in v)
-    for wit in lattice_points_in_shrunk_simplex(s, "closed"):
+    for wit in lattice_points_in_shrunk_simplex(s):
         assert all(isinstance(c, F) for c in wit.point)

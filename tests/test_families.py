@@ -9,6 +9,7 @@ from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups.families import (
     APICES,
     DivisibilityError,
+    apex_residues,
     blowup_from_quintuple,
     bound_dim1,
     bound_subset,
@@ -16,6 +17,7 @@ from blowups.families import (
     get_quintuple,
     instantiate,
     quintuple_table,
+    scan_families,
     sign_choices,
     table_csv,
 )
@@ -156,6 +158,35 @@ def test_blowup_from_quintuple_validation():
     with pytest.raises(ValueError):
         blowup_from_quintuple("Q29", 6, 37)
     assert blowup_from_quintuple("Q29", 2, 1) is None  # V=1 has no units
+
+
+def test_apex_residues_recipe():
+    assert apex_residues((30, 1, -6, -10, -15), 2, 37) == (7, 6, 10, 15)
+    assert apex_residues((30, 1, -6, -10, -15), 1, 37) is None  # sum fails
+    assert apex_residues((2, 2, 2, 2, 0), 1, 4) is None  # not a unit
+    assert all(apex_residues((0,) * 5, apex, 1) is None for apex in APICES)
+    # the residues sum to V+1 but contain a zero: the family policy drops them
+    assert apex_residues(instantiate("Q1", 2), 1, 2) == (1, 0, 1, 1)
+    assert blowup_from_quintuple("Q1", 1, 2) is None
+
+
+def test_scan_matches_per_apex_extraction():
+    produced = terminal = 0
+    for q in quintuple_table():
+        for sign in sign_choices(q):
+            for V in range(1, 41):
+                try:
+                    instantiate(q.label, V, sign)
+                except DivisibilityError:
+                    continue
+                for apex in APICES:
+                    w = blowup_from_quintuple(q.label, apex, V, sign)
+                    if w is not None:
+                        produced += 1
+                        terminal += is_terminal_fast(w)
+    doc = scan_families(40)
+    assert (doc["blowups"], doc["terminal"]) == (produced, terminal)
+    assert doc["violations"] == [] and doc["max_terminal_n_min"] <= 6
 
 
 def test_recipe_outputs_are_canonical_and_round_trip():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -61,6 +62,31 @@ def test_partition_count_matches_enumeration_superset():
         for V in range(1, 25):
             raw = sum(1 for _ in _all_partitions(d, V))
             assert partition_count(V + 1, d) == raw
+
+
+def _mobius(m):
+    result, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+def test_enumeration_count_is_mobius_inverted_partition_count():
+    # primitive partitions of m into d parts: sum over e | m of mu(e) p_d(m/e)
+    for d in (2, 3, 4):
+        for V in range(1, 61):
+            m = V + 1
+            primitive = sum(
+                _mobius(e) * partition_count(m // e, d)
+                for e in range(1, m + 1) if m % e == 0
+            )
+            assert sum(1 for _ in enumerate_blowups(d, V)) == primitive, (d, V)
+    assert projected_candidates(CensusQuery(d=4, v_max=60)) == 26385
 
 
 def _all_partitions(d, V):
@@ -129,6 +155,14 @@ def test_census_budget_guard():
     with pytest.raises(BudgetExceeded) as err:
         run_census(q)
     assert str(projected_candidates(q)) in str(err.value)
+
+
+def test_census_huge_dimension_is_immediate():
+    # no partition of V+1 <= 4 has 10**9 parts; the count must not loop to d
+    t = time.perf_counter()
+    result = run_census(CensusQuery(d=10**9, v_max=3))
+    assert result.hits == [] and result.histogram.total == 0
+    assert time.perf_counter() - t < 5
 
 
 def test_census_query_validation():

@@ -15,7 +15,6 @@ from blowups.sporadic import (
     blowups_from_record,
     parse_dataset,
     record_from_weights,
-    sporadic_histogram,
     sporadic_report,
 )
 
@@ -72,6 +71,12 @@ def test_embedded_records_classify_terminal():
 def test_record_with_no_unit_entry():
     r = SporadicRecord(4, (2, 2, 2, 2, 0))
     assert blowups_from_record(r) == []
+
+
+def test_record_with_zero_residue_is_an_integrity_error():
+    # apex 5 scales to (0, 1, 2, 3), which sums to V+1 but has a zero weight
+    with pytest.raises(DatasetIntegrityError):
+        blowups_from_record(SporadicRecord(5, (0, 1, 2, 3, 4)))
 
 
 def test_round_trip_through_census():
@@ -148,15 +153,15 @@ def test_parse_integrity_violation_is_fatal(tmp_path):
 
 
 def test_histogram_empty():
-    h = sporadic_histogram([])
-    assert h.total == 0 and h.counts == {}
+    rep = sporadic_report([])
+    assert rep["blowups_total"] == 0 and rep["histogram"] == {}
 
 
 def test_histogram_counts_record_apex_pairs():
-    h = sporadic_histogram(EMBEDDED_RECORDS)
-    assert h.counts[32] == 1
-    assert h.counts[20] == 1 and h.counts[21] == 1
-    assert h.total == sum(
+    rep = sporadic_report(EMBEDDED_RECORDS)
+    assert rep["histogram"]["32"] == 1
+    assert rep["histogram"]["20"] == 1 and rep["histogram"]["21"] == 1
+    assert rep["blowups_total"] == sum(
         len(blowups_from_record(r)) for r in EMBEDDED_RECORDS)
 
 
