@@ -67,7 +67,6 @@ def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     deterministic: smallest k, then lexicographically smallest translate.
     """
     _require_positive(n)
-    eps = Fraction(eps)
     simplex = ShrunkSimplex(n, eps)
     interior: LatticeWitness | None = None
     boundary: LatticeWitness | None = None
@@ -80,7 +79,7 @@ def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     canonical = interior is None
     terminal = canonical and boundary is None
     witness = interior if not canonical else (boundary if not terminal else None)
-    return SingularityClass(eps, terminal, canonical, witness)
+    return SingularityClass(simplex.eps, terminal, canonical, witness)
 
 
 def _reid_tai(n: WeightVector, canonical: bool) -> bool:

@@ -2,8 +2,9 @@
 
 All output pipelines are deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
-terminal blowup above the smallest-weight bound, 2 usage or invalid input,
-3 resource budget exceeded, 4 data integrity failure.
+terminal blowup above the smallest-weight bound, 2 usage or invalid input
+(an unreadable input file or unwritable `--out` included), 3 resource budget
+exceeded, 4 data integrity failure; `main` alone maps failures to them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from pathlib import Path
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
-from .exactgeom import OracleCapExceeded, WeightVector
+from .exactgeom import WeightVector, checked_eps
 from .families import scan_families
-from .search import BudgetExceeded, CensusQuery, run_census
+from .search import VERDICTS, BudgetExceeded, CensusQuery, run_census
 
 DATASET_ENV = "BLOWUPS_SPORADIC_DATA"
 
@@ -35,10 +36,7 @@ def parse_epsilon(text: str) -> Fraction:
     num, den = int(m.group(1)), int(m.group(2) or 1)
     if den == 0:
         raise ValueError("epsilon denominator is zero")
-    eps = Fraction(num, den)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-    return eps
+    return checked_eps(Fraction(num, den))
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -87,15 +85,18 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _census_csv(result) -> str:
-    lines = ["n_min,count"]
-    lines += [f"{k},{c}" for k, c in result.histogram.items()]
+def _histogram_csv(items) -> list[str]:
+    """CSV rows of an n_min histogram, given (n_min, count) pairs in order."""
+    return ["n_min,count", *(f"{k},{c}" for k, c in items)]
+
+
+def _census_csv(result, d: int) -> str:
+    lines = _histogram_csv(result.histogram.items())
     lines.append("")
-    hits = result.hits
-    d = len(hits[0].weights) if hits else 0
     lines.append("V," + ",".join(f"n_{i + 1}" for i in range(d)) + ",n_min")
     lines += [
-        f"{h.V}," + ",".join(map(str, h.weights)) + f",{h.n_min}" for h in hits
+        f"{h.V}," + ",".join(map(str, h.weights)) + f",{h.n_min}"
+        for h in result.hits
     ]
     return "\n".join(lines) + "\n"
 
@@ -112,7 +113,7 @@ def cmd_census(args) -> int:
     )
     result = run_census(query, workers=args.threads)
     if args.format == "csv":
-        _emit(_census_csv(result), args.out)
+        _emit(_census_csv(result, query.d), args.out)
         return 0
     payload = {
         "dim": query.d,
@@ -210,11 +211,8 @@ def cmd_sporadic(args) -> int:
     report = sporadic.sporadic_report(records)
     report["source"] = source
     if args.format == "csv":
-        lines = ["n_min,count"]
-        lines += [f"{k},{c}" for k, c in sorted(
-            (int(k), c) for k, c in report["histogram"].items()
-        )]
-        _emit("\n".join(lines) + "\n", args.out)
+        # the report's histogram is already in n_min order
+        _emit("\n".join(_histogram_csv(report["histogram"].items())) + "\n", args.out)
         return 0
     _emit(_json(report), args.out)
     return 0
@@ -238,11 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--vmin", type=int, default=1)
     p.add_argument("--epsilon", default="1")
-    p.add_argument("--verdict", default="terminal",
-                   choices=["terminal", "canonical", "eps-lt", "eps-lc"])
+    p.add_argument("--verdict", default="terminal", choices=VERDICTS)
     p.add_argument("--min-weight", type=int, default=None)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=CensusQuery.budget)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
@@ -291,10 +288,10 @@ def main(argv=None) -> int:
     except (sporadic.DatasetFormatError, sporadic.DatasetIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (BudgetExceeded, OracleCapExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

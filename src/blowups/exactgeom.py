@@ -42,6 +42,14 @@ class OracleCapExceeded(RuntimeError):
     """The brute-force box scan was asked for an index above its cap."""
 
 
+def checked_eps(eps: Rat | int) -> Fraction:
+    """eps as an exact Fraction, refused outside the range (0, 1]."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Primitive vector of nonnegative integer weights.
@@ -93,10 +101,7 @@ class ShrunkSimplex:
     eps: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        eps = Fraction(self.eps)
-        object.__setattr__(self, "eps", eps)
-        if not 0 < eps <= 1:
-            raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
+        object.__setattr__(self, "eps", checked_eps(self.eps))
 
     @property
     def d(self) -> int:
@@ -219,9 +224,7 @@ def brute_force_lattice_points(
     the original coordinates; this is the independent oracle for the coset
     enumeration above.  Cost grows like eps^d * V, hence the index cap.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
+    eps = checked_eps(eps)
     V, d = n.V, n.d
     if V > cap:
         raise OracleCapExceeded(f"index {V} exceeds the oracle cap {cap}")

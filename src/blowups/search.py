@@ -13,11 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, factorial, gcd
 from typing import Callable, Iterator
 
 from .classifier import classify, is_canonical_fast, is_terminal_fast
-from .exactgeom import Rat, WeightVector
+from .exactgeom import Rat, WeightVector, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -37,13 +37,11 @@ class CensusQuery:
     budget: int = 10**8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
+        object.__setattr__(self, "eps", checked_eps(self.eps))
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if not 1 <= self.v_min <= self.v_max:
             raise ValueError(f"empty index range [{self.v_min}, {self.v_max}]")
-        if not 0 < self.eps <= 1:
-            raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict must be one of {VERDICTS}")
         if self.verdict in ("terminal", "canonical") and self.eps != 1:
@@ -137,6 +135,21 @@ def projected_candidates(q: CensusQuery) -> int:
     return sum(row[V + 1] for V in range(q.v_min, q.v_max + 1))
 
 
+def _candidates_lower_bound(q: CensusQuery) -> int:
+    """Lower bound on `projected_candidates(q)` from a few multiplications.
+
+    Padding with ones gives p_d(m) >= p_e(m - d + e) for e <= d, and a
+    partition of j into e parts orders into at most e! of the C(j-1, e-1)
+    compositions of j, so p_e(j) >= C(j-1, e-1)/e!.  The hockey-stick identity
+    sums C(j-1, e-1) over lo <= j <= hi to C(hi, e) - C(lo-1, e).  Capping e
+    at 8 keeps `comb` cheap for any d.
+    """
+    e = min(q.d, 8)
+    pad = q.d - e
+    total = comb(max(q.v_max + 1 - pad, 0), e) - comb(max(q.v_min - pad, 0), e)
+    return total // factorial(e)
+
+
 def _predicate(q: CensusQuery) -> Callable[[WeightVector], bool]:
     want_terminal = q.verdict in ("terminal", "eps-lt")
     if q.eps == 1:
@@ -171,14 +184,11 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     The hit list contains every passing vector meeting the min-weight filter,
     sorted by (V, lex).  Output is bit-identical for any worker count.
     """
-    # closed-form pre-check for absurd ranges, where even counting exactly
-    # would be slow: p_d(V+1) >= floor((V+3-d)/2), so the cumulative count
-    # grows at least quadratically in v_max
-    if q.v_max > 10**6:
-        lo = max(q.v_min, q.d)
-        span = q.v_max - lo + 1
-        lower = ((lo + q.v_max) * span // 2 + (2 - q.d) * span) // 2
-        if span > 0 and lower > q.budget:
+    # the exact count takes about min(d, v_max + 1) * v_max additions; above
+    # a million, a closed-form lower bound gets the chance to refuse first
+    if min(q.d, q.v_max + 1) * q.v_max > 10**6:
+        lower = _candidates_lower_bound(q)
+        if lower > q.budget:
             raise BudgetExceeded(
                 f"at least {lower} candidates exceed budget {q.budget}"
             )
@@ -223,7 +233,7 @@ def verify_family(
     `template` holds positive weights with exactly one free slot (None).
     Imprimitive fills are flagged and skipped, not fatal.
     """
-    eps = Fraction(eps)
+    eps = checked_eps(eps)
     slots = [i for i, v in enumerate(template) if v is None]
     if len(slots) != 1:
         raise ValueError("template must have exactly one free slot")

@@ -43,7 +43,7 @@ class SporadicRecord:
         if self.V < 1:
             raise ValueError("volume must be positive")
         if len(b) != 5:
-            raise ValueError("need exactly five residues")
+            raise ValueError(f"need exactly five residues, got {len(b)}")
         if any(not 0 <= x < self.V for x in b):
             raise ValueError(f"residues {b} not reduced mod {self.V}")
         if sum(b) % self.V != 0:
@@ -68,7 +68,9 @@ def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord
     Liberal mode accepts comma or whitespace separators, '#' comment lines and
     unreduced residues (they are reduced mod V).  Strict mode pins one
     normalisation: exactly six whitespace-separated fields, residues already
-    in [0, V), no comments or blank lines.
+    in [0, V), no comments or blank lines.  `SporadicRecord` checks each
+    record; its errors come back with the line number, as
+    `DatasetIntegrityError` for a residue sum and `DatasetFormatError` else.
     """
     records: list[SporadicRecord] = []
     text = Path(path).read_text()
@@ -76,35 +78,16 @@ def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord
         line = raw.strip()
         if not strict and (not line or line.startswith("#")):
             continue
-        if strict:
-            fields = line.split()
-        else:
-            fields = line.replace(",", " ").split()
-        if len(fields) != 6:
-            raise DatasetFormatError(
-                f"line {lineno}: expected 6 fields, got {len(fields)}: {raw!r}"
-            )
+        fields = line.split() if strict else line.replace(",", " ").split()
         try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {lineno}: non-integer field in {raw!r}"
-            ) from None
-        V = values[0]
-        if V < 1:
-            raise DatasetFormatError(f"line {lineno}: volume {V} not positive")
-        b = values[1:]
-        if strict:
-            if any(not 0 <= x < V for x in b):
-                raise DatasetFormatError(
-                    f"line {lineno}: residues {b} not reduced mod {V}"
-                )
-        else:
-            b = [x % V for x in b]
-        try:
+            V, *b = map(int, fields)
+            if not strict and V:  # V = 0 is left for SporadicRecord to refuse
+                b = [x % V for x in b]
             records.append(SporadicRecord(V, tuple(b)))
         except DatasetIntegrityError as exc:
             raise DatasetIntegrityError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {raw!r}: {exc}") from None
     return records
 
 

@@ -79,6 +79,11 @@ def test_census_csv(capsys):
     assert head.splitlines()[0] == "n_min,count"
     assert hits.splitlines()[0] == "V,n_1,n_2,n_3,n_min"
     assert "2,1,1,1,1" in hits.splitlines()
+    # nothing passes the filter: the header still names d weights
+    code, out, _ = run(capsys, "census", "--dim", "4", "--vmax", "30",
+                       "--min-weight", "100", "--format", "csv", "--threads", "1")
+    assert code == 0
+    assert out.split("\n\n")[1] == "V,n_1,n_2,n_3,n_4,n_min\n"
 
 
 def test_census_includes_ordinary_blowup(capsys):
@@ -101,6 +106,13 @@ def test_census_out_file(tmp_path, capsys):
                        "--threads", "1", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["dim"] == 2
+
+
+def test_unwritable_out_exit(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "o.json"
+    code, out, err = run(capsys, "classify", "--weights", "6,10,15,7",
+                         "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 # ------------------------------------------------------------------- family
@@ -212,6 +224,15 @@ def test_sporadic_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BLOWUPS_SPORADIC_DATA", str(data))
     code, out, _ = run(capsys, "sporadic")
     assert code == 0 and json.loads(out)["records"] == 1
+
+
+def test_sporadic_missing_input_exit(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.txt")
+    monkeypatch.setenv("BLOWUPS_SPORADIC_DATA", missing)
+    # a missing file, a directory, and a missing file named by the variable
+    for argv in (("--input", missing), ("--input", str(tmp_path)), ()):
+        code, out, err = run(capsys, "sporadic", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_sporadic_bad_data_exit(tmp_path, capsys):

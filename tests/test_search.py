@@ -12,6 +12,7 @@ from blowups.search import (
     BudgetExceeded,
     CensusQuery,
     Histogram,
+    _candidates_lower_bound,
     enumerate_blowups,
     partition_count,
     pool_size,
@@ -165,6 +166,19 @@ def test_census_huge_dimension_is_immediate():
     assert time.perf_counter() - t < 5
 
 
+def test_census_huge_single_index_is_refused_at_once():
+    # the exact count would fill a partition row of length 10**8 + 2
+    t = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        run_census(CensusQuery(d=4, v_min=10**8, v_max=10**8))
+    assert time.perf_counter() - t < 0.5
+    # the closed-form bound never exceeds the exact count it stands in for
+    for d in (2, 3, 4, 9, 12):
+        for v_min, v_max in ((1, 1), (1, 40), (7, 7), (10, 60), (30, 33)):
+            q = CensusQuery(d=d, v_min=v_min, v_max=v_max)
+            assert _candidates_lower_bound(q) <= projected_candidates(q)
+
+
 def test_census_query_validation():
     with pytest.raises(ValueError):
         CensusQuery(d=1, v_max=5)
@@ -259,6 +273,8 @@ def test_verify_family_validation():
         verify_family((0, 10, None), range(1, 3))  # nonpositive fixed weight
     with pytest.raises(ValueError):
         verify_family((6, 10, None), [0])  # nonpositive slot value
+    with pytest.raises(ValueError):
+        verify_family((2, 4, None), [2, 4], eps=5)  # eps outside (0, 1]
 
 
 def test_verify_family_eps_variant():
