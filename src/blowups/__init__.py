@@ -9,7 +9,6 @@ records.  All geometry is done in exact rational arithmetic.
 
 from .classifier import (
     SingularityClass,
-    ZeroWeightError,
     classify,
     is_canonical_fast,
     is_terminal_fast,
@@ -22,6 +21,7 @@ from .exactgeom import (
     Rat,
     ShrunkSimplex,
     WeightVector,
+    ZeroWeightError,
     brute_force_lattice_points,
     classify_point,
     frac_point,

@@ -27,12 +27,9 @@ from .exactgeom import (
     Rat,
     ShrunkSimplex,
     WeightVector,
+    ZeroWeightError,  # re-exported; WeightVector raises it
     lattice_points_in_shrunk_simplex,
 )
-
-
-class ZeroWeightError(ValueError):
-    """A zero weight is a degenerate blowup and is refused, not classified."""
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,6 @@ class SingularityClass:
             raise ValueError("terminal implies canonical")
 
 
-def _require_positive(n: WeightVector) -> None:
-    if not n.all_positive():
-        raise ZeroWeightError(f"weights {n.n} contain a zero entry")
-
-
 def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     """Decide eps-log terminal / eps-log canonical for the blowup with weights n.
 
@@ -66,7 +58,6 @@ def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
     vertices; canonical means only in its boundary.  The witness choice is
     deterministic: smallest k, then lexicographically smallest translate.
     """
-    _require_positive(n)
     simplex = ShrunkSimplex(n, eps)
     interior: LatticeWitness | None = None
     boundary: LatticeWitness | None = None
@@ -89,7 +80,6 @@ def _reid_tai(n: WeightVector, canonical: bool) -> bool:
     V-k are judged together, as z(V-k) = z(k) and s(V-k) = (d - z)*V - s.  At
     even V, k = V/2 is its own complement and the identity gives s(V-k) = s.
     """
-    _require_positive(n)
     V = n.V
     w = n.n
     dV = len(w) * V
@@ -136,6 +126,5 @@ def kawakita_form(n: WeightVector) -> bool:
     """Dimension-3 terminality normal form: weights (1, a, b) with gcd(a, b) = 1."""
     if n.d != 3:
         raise ValueError(f"normal form is for 3 weights, got {n.d}")
-    _require_positive(n)
     a, b, c = sorted(n.n)
     return a == 1 and gcd(b, c) == 1

@@ -44,8 +44,6 @@ def parse_weights(text: str) -> WeightVector:
         values = tuple(int(f) for f in text.split(","))
     except ValueError:
         raise ValueError(f"weights must be comma-separated integers, got {text!r}")
-    if any(v < 1 for v in values):
-        raise ValueError(f"weights must be positive, got {values}")
     return WeightVector(values)
 
 

@@ -50,12 +50,16 @@ def checked_eps(eps: Rat | int) -> Fraction:
     return eps
 
 
+class ZeroWeightError(ValueError):
+    """A weight below 1 is a degenerate blowup and is refused, not classified."""
+
+
 @dataclass(frozen=True)
 class WeightVector:
-    """Primitive vector of nonnegative integer weights.
+    """The weights of a blowup of A^d: d >= 2 positive integers with gcd 1.
 
-    The index V = sum(n) - 1 must be at least 1.  Zero entries are allowed at
-    this level; operations that need a genuine blowup reject them separately.
+    A weight below 1 raises `ZeroWeightError`, so every instance is a genuine
+    blowup and its index V = sum(n) - 1 is at least 1.
     """
 
     n: tuple[int, ...]
@@ -65,10 +69,8 @@ class WeightVector:
         object.__setattr__(self, "n", n)
         if len(n) < 2:
             raise ValueError("need at least two weights")
-        if min(n) < 0:
-            raise ValueError(f"negative weight in {n}")
-        if sum(n) < 2:
-            raise ValueError(f"index of {n} would be {sum(n) - 1} < 1")
+        if min(n) < 1:
+            raise ZeroWeightError(f"weights must be positive, got {n}")
         if gcd(*n) != 1:
             raise ValueError(f"weights {n} are not primitive")
 
@@ -83,9 +85,6 @@ class WeightVector:
     @property
     def n_min(self) -> int:
         return min(self.n)
-
-    def all_positive(self) -> bool:
-        return all(v > 0 for v in self.n)
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def brute_force_lattice_points(
         raise OracleCapExceeded(f"index {V} exceeds the oracle cap {cap}")
     a, b = eps.numerator, eps.denominator
     scale = a * V
-    his = [(a * max(1, ni)) // b for ni in n.n]
+    his = [(a * ni) // b for ni in n.n]
     found = []
     for x in itertools.product(*(range(h + 1) for h in his)):
         mu = b * sum(x) - a

@@ -2,9 +2,9 @@
 
 Each family is labelled by a zero-sum quintuple of affine-dependence
 coefficients.  The 29 primitive families Q1-Q29 are constant in the index V;
-the 17 non-primitive families N1-N17 add a correction vector V*r (with r of
-denominator 2, 3, 4 or 6), written `+/- V*r` for N7-N17, where the sign
-applies to the whole correction vector at once.
+the 17 non-primitive families N1-N17 add the correction V*nums/index, held
+in integers (index 2, 3, 4 or 6), written `+/- V*nums/index` for N7-N17,
+where the sign applies to the whole correction vector at once.
 
 A blowup is extracted from a family instance at index V by distinguishing an
 apex entry: if that entry is a unit mod V, scale the quintuple so the apex
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classifier import is_terminal_fast
 from .exactgeom import WeightVector
@@ -39,25 +39,22 @@ class DivisibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Quintuple:
-    """One family row: zero-sum base, per-V correction, optional joint sign."""
+    """One family row: base + sign*V*nums/index, all in integers.
+
+    `base` sums to 0.  `index` is the order of the family's group over its
+    primitive part: 1 for the Q rows, whose `nums` are all 0, and 2, 3, 4 or 6
+    for the N rows, whose `nums` sum to `index` and share no factor with it.
+    """
 
     label: str
     base: tuple[int, int, int, int, int]
-    modifier: tuple[Fraction, ...]  # the '+' resolution; all zero for Q rows
+    nums: tuple[int, int, int, int, int]  # the '+' resolution
+    index: int
     signed: bool  # True when the correction carries a +/- choice (N7-N17)
-
-    @property
-    def index(self) -> int:
-        """Order of the family's group over its primitive part (1 for Q rows)."""
-        return lcm(*(r.denominator for r in self.modifier))
 
 
 def _q(label: str, base: tuple[int, ...]) -> Quintuple:
-    return Quintuple(label, base, (Fraction(0),) * 5, False)
-
-
-def _n(label: str, base, nums, den, signed) -> Quintuple:
-    return Quintuple(label, base, tuple(Fraction(v, den) for v in nums), signed)
+    return Quintuple(label, base, (0,) * 5, 1, False)
 
 
 _TABLE: tuple[Quintuple, ...] = (
@@ -90,23 +87,23 @@ _TABLE: tuple[Quintuple, ...] = (
     _q("Q27", (20, 3, -1, -10, -12)),
     _q("Q28", (24, 1, -5, -8, -12)),
     _q("Q29", (30, 1, -6, -10, -15)),
-    _n("N1", (6, 1, -2, -2, -3), (1, 0, 0, 1, 0), 2, False),
-    _n("N2", (4, 3, -1, -2, -4), (0, 0, 0, 1, 1), 2, False),
-    _n("N3", (8, 1, -2, -3, -4), (0, 0, 1, 0, 1), 2, False),
-    _n("N4", (6, 3, -1, -2, -6), (1, 0, 0, 1, 0), 2, False),
-    _n("N5", (8, 3, -1, -4, -6), (0, 0, 0, 1, 1), 2, False),
-    _n("N6", (12, 1, -3, -4, -6), (0, 0, 0, 1, 1), 2, False),
-    _n("N7", (3, 1, -1, -1, -2), (0, 0, 1, 2, 0), 3, True),
-    _n("N8", (3, 2, -1, -1, -3), (0, 0, 0, 2, 1), 3, True),
-    _n("N9", (3, 2, -1, -2, -2), (0, 0, 0, 1, 2), 3, True),
-    _n("N10", (4, 2, -1, -1, -4), (1, 0, 0, 2, 0), 3, True),
-    _n("N11", (6, 1, -2, -2, -3), (0, 0, 0, 2, 1), 3, True),
-    _n("N12", (6, 1, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
-    _n("N13", (4, 3, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
-    _n("N14", (6, 3, -1, -2, -6), (0, 1, 0, 1, 1), 3, True),
-    _n("N15", (3, 2, -1, -1, -3), (1, 0, 0, 1, 2), 4, True),
-    _n("N16", (6, 1, -1, -3, -3), (0, 1, 0, 1, 2), 4, True),
-    _n("N17", (3, 1, -1, -1, -2), (0, 1, 0, 1, 4), 6, True),
+    Quintuple("N1", (6, 1, -2, -2, -3), (1, 0, 0, 1, 0), 2, False),
+    Quintuple("N2", (4, 3, -1, -2, -4), (0, 0, 0, 1, 1), 2, False),
+    Quintuple("N3", (8, 1, -2, -3, -4), (0, 0, 1, 0, 1), 2, False),
+    Quintuple("N4", (6, 3, -1, -2, -6), (1, 0, 0, 1, 0), 2, False),
+    Quintuple("N5", (8, 3, -1, -4, -6), (0, 0, 0, 1, 1), 2, False),
+    Quintuple("N6", (12, 1, -3, -4, -6), (0, 0, 0, 1, 1), 2, False),
+    Quintuple("N7", (3, 1, -1, -1, -2), (0, 0, 1, 2, 0), 3, True),
+    Quintuple("N8", (3, 2, -1, -1, -3), (0, 0, 0, 2, 1), 3, True),
+    Quintuple("N9", (3, 2, -1, -2, -2), (0, 0, 0, 1, 2), 3, True),
+    Quintuple("N10", (4, 2, -1, -1, -4), (1, 0, 0, 2, 0), 3, True),
+    Quintuple("N11", (6, 1, -2, -2, -3), (0, 0, 0, 2, 1), 3, True),
+    Quintuple("N12", (6, 1, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
+    Quintuple("N13", (4, 3, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
+    Quintuple("N14", (6, 3, -1, -2, -6), (0, 1, 0, 1, 1), 3, True),
+    Quintuple("N15", (3, 2, -1, -1, -3), (1, 0, 0, 1, 2), 4, True),
+    Quintuple("N16", (6, 1, -1, -3, -3), (0, 1, 0, 1, 2), 4, True),
+    Quintuple("N17", (3, 1, -1, -1, -2), (0, 1, 0, 1, 4), 6, True),
 )
 
 _BY_LABEL = {q.label: q for q in _TABLE}
@@ -132,7 +129,7 @@ def sign_choices(q: Quintuple) -> tuple[int, ...]:
 
 
 def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
-    """Evaluate base + sign*V*modifier; entries must come out integral."""
+    """Evaluate base + sign*V*nums/index; entries must come out integral."""
     q = get_quintuple(label)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -141,13 +138,13 @@ def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
     if V < 1:
         raise ValueError("index V must be positive")
     entries = []
-    for b, r in zip(q.base, q.modifier):
-        value = b + sign * V * r
-        if value.denominator != 1:
+    for b, m in zip(q.base, q.nums):
+        c, rest = divmod(sign * V * m, q.index)
+        if rest:
             raise DivisibilityError(
-                f"{label} needs V divisible by {r.denominator}, got V={V}"
+                f"{label} needs V divisible by {q.index // gcd(m, q.index)}, got V={V}"
             )
-        entries.append(int(value))
+        entries.append(b + c)
     return tuple(entries)
 
 
@@ -172,9 +169,12 @@ def apex_residues(
 
 def _blowup(a: tuple[int, ...], apex: int, V: int) -> WeightVector | None:
     w = apex_residues(a, apex, V)
-    if w is None or min(w) < 1 or gcd(*w) != 1:
+    if w is None:
         return None
-    return WeightVector(w)
+    try:
+        return WeightVector(w)
+    except ValueError:  # a zero residue, or imprimitive
+        return None
 
 
 def blowup_from_quintuple(
@@ -292,9 +292,5 @@ def table_csv() -> str:
     """Audit export: label, base entries, correction numerators, denominator."""
     lines = ["label,q1,q2,q3,q4,q5,r1,r2,r3,r4,r5,den"]
     for q in _TABLE:
-        den = q.index
-        nums = [r.numerator * (den // r.denominator) for r in q.modifier]
-        lines.append(
-            ",".join([q.label, *map(str, q.base), *map(str, nums), str(den)])
-        )
+        lines.append(",".join(map(str, (q.label, *q.base, *q.nums, q.index))))
     return "\n".join(lines) + "\n"

@@ -83,7 +83,12 @@ class CensusResult:
 
 
 def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
-    """Primitive nondecreasing positive weight vectors with index V, in lex order."""
+    """Primitive nondecreasing positive weight vectors with index V, in lex order.
+
+    A vector with t ones has V + 1 >= t + 2(d - t), so it starts with at
+    least 2d - V - 1 ones.  They are emitted as one prefix (keeping two slots
+    for the last loop), so the recursion is never deeper than V + 1 - d.
+    """
     if d < 2 or V < 1:
         raise ValueError("need d >= 2 and V >= 1")
 
@@ -95,33 +100,34 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
         for v in range(lo, remaining // slots + 1):
             yield from parts(prefix + (v,), remaining - v, slots - 1, v)
 
-    for tup in parts((), V + 1, d, 1):
+    ones = min(max(2 * d - V - 1, 0), d - 2)
+    for tup in parts((1,) * ones, V + 1 - ones, d - ones, 1):
         if gcd(*tup) == 1:
             yield WeightVector(tup)
 
 
 @lru_cache(maxsize=None)
-def _partition_row(m_max: int, parts: int) -> tuple[int, ...]:
-    # p(j, k) = p(j-1, k-1) + p(j-k, k), filled iteratively row by row; no
-    # j <= m_max has more than m_max parts, so a longer loop would add zeros
-    if parts > m_max:
-        return (0,) * (m_max + 1)
-    prev = (1,) + (0,) * m_max
-    for k in range(1, parts + 1):
-        cur = [0] * (m_max + 1)
-        for j in range(k, m_max + 1):
-            cur[j] = prev[j - 1] + cur[j - k]
-        prev = tuple(cur)
-    return prev
+def _partition_row(j_max: int, parts: int) -> tuple[int, ...]:
+    # taking 1 from each part maps partitions of m into exactly `parts` parts
+    # onto partitions of j = m - parts into parts of size at most `parts`;
+    # one coin-change row counts the latter for every j <= j_max
+    row = [1] + [0] * j_max
+    for k in range(1, min(parts, j_max) + 1):
+        for j in range(k, j_max + 1):
+            row[j] += row[j - k]
+    return tuple(row)
 
 
 def partition_count(m: int, parts: int) -> int:
     """Number of partitions of m into exactly `parts` positive parts."""
-    if parts == 0:
-        return 1 if m == 0 else 0
     if m < parts:
         return 0
-    return _partition_row(m, parts)[m]
+    return _partition_row(m - parts, parts)[m - parts]
+
+
+def _first_index(q: CensusQuery) -> int:
+    # below V = d - 1 no d positive weights sum to V + 1
+    return max(q.v_min, q.d - 1)
 
 
 def projected_candidates(q: CensusQuery) -> int:
@@ -131,8 +137,10 @@ def projected_candidates(q: CensusQuery) -> int:
     included, so it exceeds what `enumerate_blowups` yields: 26,385 against
     24,308 for d = 4, V <= 60.
     """
-    row = _partition_row(q.v_max + 1, q.d)
-    return sum(row[V + 1] for V in range(q.v_min, q.v_max + 1))
+    lo = _first_index(q)
+    if lo > q.v_max:
+        return 0
+    return sum(_partition_row(q.v_max + 1 - q.d, q.d)[lo + 1 - q.d :])
 
 
 def _candidates_lower_bound(q: CensusQuery) -> int:
@@ -184,9 +192,10 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     The hit list contains every passing vector meeting the min-weight filter,
     sorted by (V, lex).  Output is bit-identical for any worker count.
     """
-    # the exact count takes about min(d, v_max + 1) * v_max additions; above
-    # a million, a closed-form lower bound gets the chance to refuse first
-    if min(q.d, q.v_max + 1) * q.v_max > 10**6:
+    # the exact count takes about min(d, j) * j additions, j = v_max + 1 - d;
+    # above a million, a closed-form lower bound gets the chance to refuse first
+    j = max(q.v_max + 1 - q.d, 0)
+    if min(q.d, j) * j > 10**6:
         lower = _candidates_lower_bound(q)
         if lower > q.budget:
             raise BudgetExceeded(
@@ -197,7 +206,7 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
         raise BudgetExceeded(
             f"projected {projected} candidates exceed budget {q.budget}"
         )
-    tasks = [(q, V) for V in range(q.v_min, q.v_max + 1)]
+    tasks = [(q, V) for V in range(_first_index(q), q.v_max + 1)]
     workers = pool_size(workers, len(tasks))
     if workers <= 1:
         blocks = [_census_block(t) for t in tasks]

@@ -16,7 +16,6 @@ testable without the external file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from pathlib import Path
 
 from .exactgeom import WeightVector
@@ -104,12 +103,13 @@ def blowups_from_record(r: SporadicRecord) -> list[tuple[int, WeightVector]]:
         w = apex_residues(r.b, apex, r.V)
         if w is None:
             continue
-        if min(w) < 1 or gcd(*w) != 1:
+        try:
+            out.append((apex, WeightVector(w)))
+        except ValueError:
             raise DatasetIntegrityError(
                 f"record (V={r.V}, b={r.b}) apex {apex}: residues {w} sum to "
                 "V+1 but are not positive primitive weights"
-            )
-        out.append((apex, WeightVector(w)))
+            ) from None
     return out
 
 
@@ -117,8 +117,6 @@ def record_from_weights(n: WeightVector) -> SporadicRecord:
     """Record whose apex-5 extraction returns exactly the given 4 weights."""
     if n.d != 4:
         raise ValueError("records encode 4-simplices; need 4 weights")
-    if not n.all_positive():
-        raise ValueError("weights must be positive")
     return SporadicRecord(n.V, (*n.n, n.V - 1))
 
 

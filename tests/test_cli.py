@@ -94,6 +94,15 @@ def test_census_includes_ordinary_blowup(capsys):
     assert {"V": 3, "weights": [1, 1, 1, 1], "n_min": 1} in doc["hits"]
 
 
+def test_census_dimension_close_to_index(capsys):
+    # the one candidate is all ones; enumerating it must not recurse per part
+    code, out, _ = run(capsys, "census", "--dim", "1500", "--vmax", "1499",
+                       "--threads", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["histogram"] == {"1": 1}
+    assert doc["hits"] == [{"V": 1499, "weights": [1] * 1500, "n_min": 1}]
+
+
 def test_census_budget_exit(capsys):
     code, _, err = run(capsys, "census", "--dim", "4", "--vmax", "90",
                        "--budget", "10", "--threads", "1")

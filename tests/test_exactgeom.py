@@ -10,6 +10,7 @@ from blowups.exactgeom import (
     OracleCapExceeded,
     ShrunkSimplex,
     WeightVector,
+    ZeroWeightError,
     _translate_range,
     brute_force_lattice_points,
     classify_point,
@@ -42,8 +43,9 @@ def test_weight_vector_invariants():
         WeightVector((1, -1, 1))
     with pytest.raises(ValueError):
         WeightVector((0, 1))  # V = 0
-    # zero entries are allowed at type level when primitive and V >= 1
-    assert not WeightVector((0, 1, 2)).all_positive()
+    # a zero weight is refused by the type, even when primitive with V >= 1
+    with pytest.raises(ZeroWeightError):
+        WeightVector((0, 1, 2))
 
 
 def test_generating_point_identities():

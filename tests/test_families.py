@@ -65,8 +65,8 @@ def test_table_row_invariants():
         b = q.base
         assert b[0] > b[1] > 0 > b[2] >= b[3] >= b[4], q.label
         assert q.index in (1, 2, 3, 4, 6)
-        mod_sum = sum(q.modifier)
-        assert mod_sum == (0 if q.index == 1 else 1)
+        assert sum(q.nums) == (0 if q.index == 1 else q.index)
+        assert gcd(*q.nums, q.index) == 1
         assert q.signed == (q.index > 2)
 
 
@@ -76,10 +76,10 @@ def test_table_verbatim_rows():
     assert get_quintuple("Q29").base == (30, 1, -6, -10, -15)
     n5 = get_quintuple("N5")
     assert n5.base == (8, 3, -1, -4, -6)
-    assert n5.modifier == (0, 0, 0, F(1, 2), F(1, 2))
+    assert (n5.nums, n5.index) == ((0, 0, 0, 1, 1), 2)
     n1 = get_quintuple("N1")
     assert n1.base == (6, 1, -2, -2, -3)
-    assert n1.modifier == (F(1, 2), 0, 0, F(1, 2), 0)
+    assert (n1.nums, n1.index) == ((1, 0, 0, 1, 0), 2)
     with pytest.raises(KeyError):
         get_quintuple("Q30")
 
@@ -95,7 +95,7 @@ def test_table_csv_round_trip():
         nums = [int(x) for x in fields[6:11]]
         den = int(fields[11])
         assert base == q.base and den == q.index
-        assert tuple(F(v, den) for v in nums) == q.modifier
+        assert tuple(nums) == q.nums
 
 
 # ------------------------------------------------------------- instantiate
@@ -136,6 +136,27 @@ def test_instantiate_sum_is_zero_mod_v():
         for sign in sign_choices(q):
             V = 12 * q.index
             assert sum(instantiate(q.label, V, sign)) % V == 0
+
+
+def test_instantiate_matches_rational_definition():
+    # reference: base + sign*V*r with r = nums/index as rationals; the error
+    # names the denominator of r at the first entry that is not integral
+    for q in quintuple_table():
+        rs = [F(m, q.index) for m in q.nums]
+        for sign in (1, -1):
+            if sign == -1 and q.index > 1 and not q.signed:
+                continue  # a fixed-sign row; see test_instantiate_signs
+            for V in range(1, 121):
+                want = [b + sign * V * r for b, r in zip(q.base, rs)]
+                dens = [r.denominator for x, r in zip(want, rs) if x.denominator != 1]
+                if not dens:
+                    assert instantiate(q.label, V, sign) == tuple(map(int, want))
+                    continue
+                with pytest.raises(DivisibilityError) as err:
+                    instantiate(q.label, V, sign)
+                assert str(err.value) == (
+                    f"{q.label} needs V divisible by {dens[0]}, got V={V}"
+                )
 
 
 # ------------------------------------------------------------------ recipe

@@ -52,14 +52,14 @@ def _naive_count(d, V):
     return rec((), 1, V + 1, d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_enumerate_completeness_vs_naive(d):
     for V in range(1, 31):
         assert len(list(enumerate_blowups(d, V))) == _naive_count(d, V)
 
 
 def test_partition_count_matches_enumeration_superset():
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5, 6, 7):
         for V in range(1, 25):
             raw = sum(1 for _ in _all_partitions(d, V))
             assert partition_count(V + 1, d) == raw
@@ -164,6 +164,21 @@ def test_census_huge_dimension_is_immediate():
     result = run_census(CensusQuery(d=10**9, v_max=3))
     assert result.hits == [] and result.histogram.total == 0
     assert time.perf_counter() - t < 5
+
+
+def test_census_dimension_near_or_above_the_index():
+    # the forced leading ones keep the recursion shallow
+    assert [w.n for w in enumerate_blowups(3000, 2999)] == [(1,) * 3000]
+    assert [w.n for w in enumerate_blowups(3000, 3000)] == [(1,) * 2999 + (2,)]
+    # no index below d - 1 has a candidate, so none of them is visited, and
+    # the count runs over j <= v_max + 1 - d only
+    t = time.perf_counter()
+    assert projected_candidates(CensusQuery(d=10**7, v_max=10**6)) == 0
+    assert projected_candidates(CensusQuery(d=3000, v_max=3000)) == 2
+    assert projected_candidates(CensusQuery(d=10**6, v_max=10**6)) == 2
+    result = run_census(CensusQuery(d=10**7, v_max=10**6))
+    assert result.hits == [] and result.histogram.total == 0
+    assert time.perf_counter() - t < 0.5
 
 
 def test_census_huge_single_index_is_refused_at_once():
