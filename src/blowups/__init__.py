@@ -48,7 +48,6 @@ from .search import (
     Histogram,
     enumerate_blowups,
     run_census,
-    verify_family,
 )
 from .sporadic import (
     EMBEDDED_RECORDS,

@@ -6,7 +6,10 @@ the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 the geometric test; `is_terminal_fast` and `is_canonical_fast` are eps = 1
 shortcuts on fractional-part sums (the Reid-Tai criterion) whose agreement
 with `classify` is enforced by the test suite before any caller is allowed to
-rely on them.
+rely on them.  They are the same membership test at eps = 1: class k >= 1
+has the one candidate frac(k*p), with no integer translate, and its
+barycentric coordinates scaled by V are V - s(k) and the residues
+k*n_i mod V, where s(k) is their sum.
 
 The shortcuts visit only k in [1, V//2].  The residues of k and V-k are
 complementary (k*n_i mod V and (V-k)*n_i mod V add up to V unless both are

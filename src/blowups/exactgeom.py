@@ -11,10 +11,10 @@ and integer overflow cannot occur.  The central objects are:
   Conv(0, e_1, ..., e_d) towards p by a factor eps in (0, 1].
 
 The module enumerates lattice points of Z^d + Z*p inside the shrunk simplex
-coset by coset (O(V * 2^d) candidates, independent of eps), and provides an
-independent brute-force scan of the integer points of eps * Conv(e_1, ...,
-e_d, n) in the original coordinates; the affine change of coordinates mapping
-one picture to the other is `to_integer_lattice`.
+coset by coset (one candidate per residue class, O(V * d) steps), and
+provides an independent brute-force scan of the integer points of
+eps * Conv(e_1, ..., e_d, n) in the original coordinates; the affine change
+of coordinates mapping one picture to the other is `to_integer_lattice`.
 """
 
 from __future__ import annotations
@@ -170,47 +170,43 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
-def _translate_range(num: int, den: int, span: int) -> range:
-    """Integers z with num/den <= z <= (num + span)/den, for den > 0."""
-    return range(-((-num) // den), (num + span) // den + 1)
-
-
 def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
     """All points of Z^d + Z*p in the closed simplex, with their classes.
 
-    For each residue k in [0, V-1] the fractional representative of k*p is
-    translated per axis by the at most two integers that land the coordinate
-    inside [(1-eps)*p_i, (1-eps)*p_i + eps].  Witnesses come out ordered by
-    (k, z) with z lexicographic, which downstream code relies on.
+    Each axis window [(1-eps)*p_i, (1-eps)*p_i + eps] lies in [0, 1], as
+    0 < p_i <= 1, so a point x = frac(k*p) + z has z_i in {0, 1}, and z_i = 1
+    needs frac_i = 0 and x_i = 1, the top of the window.  In y = (x -
+    (1-eps)*p)/eps that is y_i = 1, so every other y_j = 0 and x is the vertex
+    (1-eps)*p + eps*e_i.  Its coordinates sum to 1 + (1-eps)/V and those of a
+    point of class k to k/V mod 1, so it is a coset point only at k = 0 and
+    eps = 1.  Hence class 0 gives the d+1 vertices at eps = 1 and nothing
+    otherwise, and each class k >= 1 has the one candidate frac(k*p).
+    Witnesses come out ordered by (k, z) with z lexicographic, which
+    downstream code relies on.
     """
     n = s.weights.n
     V, d = s.V, s.d
     a, b = s.eps.numerator, s.eps.denominator
     scale = a * V
-    den = b * V
     out: list[LatticeWitness] = []
-    for k in range(V):
-        fr = [(k * ni) % V for ni in n]
-        axes = []
-        for j in range(d):
-            # lower bound minus fractional part: ((b-a)*n_j - b*f_j) / (b*V)
-            r = _translate_range((b - a) * n[j] - b * fr[j], den, scale)
-            if not r:
+    if a == b:
+        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
+        for z in [(0,) * d, *units]:
+            point = tuple(map(Fraction, z))
+            out.append(LatticeWitness(0, z, point, MembershipClass.VERTEX))
+    shift = [(b - a) * ni for ni in n]
+    for k in range(1, V):
+        # y scaled by a*V: ybar_i = b*(k*n_i mod V) - (b-a)*n_i
+        ybar = []
+        for ni, si in zip(n, shift):
+            y = b * (k * ni % V) - si
+            if y < 0:
                 break
-            axes.append(r)
+            ybar.append(y)
         else:
-            for z in itertools.product(*axes):
-                ybar = [
-                    b * (fj + V * zj) - (b - a) * nj
-                    for fj, zj, nj in zip(fr, z, n)
-                ]
-                cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
-                if cls is MembershipClass.OUTSIDE:
-                    continue
-                point = tuple(
-                    Fraction(fj + V * zj, V) for fj, zj in zip(fr, z)
-                )
-                out.append(LatticeWitness(k, tuple(z), point, cls))
+            cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
+            if cls is not MembershipClass.OUTSIDE:
+                out.append(LatticeWitness(k, (0,) * d, frac_point(s.weights, k), cls))
     return out
 
 

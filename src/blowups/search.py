@@ -17,7 +17,7 @@ from math import comb, factorial, gcd
 from typing import Callable, Iterator
 
 from .classifier import classify, is_canonical_fast, is_terminal_fast
-from .exactgeom import Rat, WeightVector, checked_eps
+from .exactgeom import WeightVector, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -48,6 +48,8 @@ class CensusQuery:
             raise ValueError(f"verdict {self.verdict!r} means eps = 1")
         if self.min_weight is not None and self.min_weight < 1:
             raise ValueError("min_weight threshold must be >= 1")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass
@@ -91,6 +93,8 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
     """
     if d < 2 or V < 1:
         raise ValueError("need d >= 2 and V >= 1")
+    if V + 1 < d:  # d positive weights sum to at least d
+        return
 
     def parts(prefix: tuple[int, ...], remaining: int, slots: int, lo: int):
         if slots == 2:
@@ -220,52 +224,3 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
             hist.add(key, c)
         hits.extend(block_hits)
     return CensusResult(hist, hits)
-
-
-@dataclass(frozen=True)
-class FamilySlotReport:
-    value: int
-    status: str  # "ok" or "imprimitive"
-    weights: tuple[int, ...] | None
-    eps_log_terminal: bool | None
-    eps_log_canonical: bool | None
-    n_min: int | None
-
-
-def verify_family(
-    template: tuple[int | None, ...],
-    slot_values: Iterator[int],
-    eps: Rat | int = 1,
-) -> list[FamilySlotReport]:
-    """Classify a one-parameter family of weight vectors.
-
-    `template` holds positive weights with exactly one free slot (None).
-    Imprimitive fills are flagged and skipped, not fatal.
-    """
-    eps = checked_eps(eps)
-    slots = [i for i, v in enumerate(template) if v is None]
-    if len(slots) != 1:
-        raise ValueError("template must have exactly one free slot")
-    if any(v is not None and v < 1 for v in template):
-        raise ValueError("fixed template weights must be positive")
-    slot = slots[0]
-    rows: list[FamilySlotReport] = []
-    for value in slot_values:
-        if value < 1:
-            raise ValueError(f"slot value {value} is not positive")
-        filled = tuple(value if i == slot else v for i, v in enumerate(template))
-        if gcd(*filled) != 1:
-            rows.append(FamilySlotReport(value, "imprimitive", None, None, None, None))
-            continue
-        w = WeightVector(filled)
-        if eps == 1:
-            terminal = is_terminal_fast(w)
-            canonical = terminal or is_canonical_fast(w)
-        else:
-            verdict = classify(w, eps)
-            terminal = verdict.eps_log_terminal
-            canonical = verdict.eps_log_canonical
-        rows.append(
-            FamilySlotReport(value, "ok", filled, terminal, canonical, w.n_min)
-        )
-    return rows

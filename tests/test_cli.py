@@ -107,6 +107,10 @@ def test_census_budget_exit(capsys):
     code, _, err = run(capsys, "census", "--dim", "4", "--vmax", "90",
                        "--budget", "10", "--threads", "1")
     assert code == 3 and "budget" in err
+    # a negative budget is bad input, not an overrun
+    code, out, err = run(capsys, "census", "--dim", "4", "--vmax", "10",
+                         "--budget", "-1", "--threads", "1")
+    assert code == 2 and out == "" and "budget must be >= 0" in err
 
 
 def test_census_out_file(tmp_path, capsys):

@@ -11,7 +11,6 @@ from blowups.exactgeom import (
     ShrunkSimplex,
     WeightVector,
     ZeroWeightError,
-    _translate_range,
     brute_force_lattice_points,
     classify_point,
     frac_point,
@@ -158,10 +157,20 @@ def test_enumeration_order_is_k_then_lex_z():
 @settings(max_examples=120, deadline=None)
 def test_coset_soundness_and_recheck(w, eps):
     s = ShrunkSimplex(w, eps)
-    for wit in lattice_points_in_shrunk_simplex(s):
+    got = lattice_points_in_shrunk_simplex(s)
+    for wit in got:
         kp = tuple(F(wit.k * ni, w.V) for ni in w.n)
         assert all((c - r).denominator == 1 for c, r in zip(wit.point, kp))
         assert classify_point(wit.point, s) is wit.membership
+    # one candidate per class: k >= 1 needs no translate, and class 0 gives
+    # exactly the d+1 vertices of the standard simplex at eps = 1
+    assert all(wit.z == (0,) * w.d for wit in got if wit.k >= 1)
+    zero = [wit for wit in got if wit.k == 0]
+    if eps == 1:
+        assert len(zero) == w.d + 1
+        assert all(wit.membership is MembershipClass.VERTEX for wit in zero)
+    else:
+        assert zero == []
 
 
 # ---------------------------------------------------------------- brute force
@@ -200,8 +209,8 @@ def _class_multiset(witnesses):
     return sorted(w.membership.value for w in witnesses)
 
 
-@pytest.mark.parametrize("d,vmax", [(2, 14), (3, 12)])
-@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 3)])
+@pytest.mark.parametrize("d,vmax", [(2, 14), (3, 12), (4, 16), (5, 10)])
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4)])
 def test_oracle_equivalence_exhaustive(d, vmax, eps):
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
@@ -212,28 +221,6 @@ def test_oracle_equivalence_exhaustive(d, vmax, eps):
             # point-level correspondence through the coordinate change
             mapped = {to_integer_lattice(wit.point, w): wit.membership for wit in coset}
             assert mapped == {tuple(map(F, p)): c for p, c in brute}
-
-
-# ---------------------------------------------------- per-axis translate span
-
-
-@given(weight_vectors(max_index=30), st.sampled_from([F(1), F(1, 2), F(2, 3), F(1, 3)]))
-@settings(max_examples=100, deadline=None)
-def test_translate_candidates_at_most_two(w, eps):
-    # an interval of length eps <= 1 holds at most 2 integers, at most 1 for
-    # eps < 1, and 2 only when eps = 1 with integral endpoints
-    V = w.V
-    a, b = eps.numerator, eps.denominator
-    den, span = b * V, a * V
-    for k in range(V):
-        for j, nj in enumerate(w.n):
-            num = (b - a) * nj - b * ((k * nj) % V)
-            r = _translate_range(num, den, span)
-            assert len(r) <= 2
-            if eps < 1:
-                assert len(r) <= 1
-            if len(r) == 2:
-                assert eps == 1 and num % den == 0
 
 
 def test_exactness_everything_is_fraction():

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from blowups.classifier import classify
-from blowups.exactgeom import MembershipClass, WeightVector, brute_force_lattice_points
+from blowups.exactgeom import MembershipClass, brute_force_lattice_points
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
@@ -18,7 +19,6 @@ from blowups.search import (
     pool_size,
     projected_candidates,
     run_census,
-    verify_family,
 )
 
 F = Fraction
@@ -170,6 +170,14 @@ def test_census_dimension_near_or_above_the_index():
     # the forced leading ones keep the recursion shallow
     assert [w.n for w in enumerate_blowups(3000, 2999)] == [(1,) * 3000]
     assert [w.n for w in enumerate_blowups(3000, 3000)] == [(1,) * 2999 + (2,)]
+    # an index below d - 1 yields nothing, and allocates nothing either
+    tracemalloc.start()
+    try:
+        assert list(enumerate_blowups(10**6, 5)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     # no index below d - 1 has a candidate, so none of them is visited, and
     # the count runs over j <= v_max + 1 - d only
     t = time.perf_counter()
@@ -207,6 +215,9 @@ def test_census_query_validation():
         CensusQuery(d=3, v_max=5, verdict="terminal", eps=F(1, 2))
     with pytest.raises(ValueError):
         CensusQuery(d=3, v_max=5, min_weight=0)
+    with pytest.raises(ValueError):
+        CensusQuery(d=3, v_max=5, budget=-1)
+    CensusQuery(d=3, v_max=5, budget=0)  # a zero budget is valid
 
 
 def _flags_from_brute(w, eps=F(1)):
@@ -249,52 +260,3 @@ def test_histogram_type():
     assert h.counts == {3: 3} and h.total == 3
     with pytest.raises(ValueError):
         h.add(0)
-
-
-# ----------------------------------------------------------- verify_family
-
-
-def test_verify_family_infinite_family():
-    # gcd(6,10,15) = 1, so every fill is primitive; coprime-with-30 values
-    # are exactly the ones the classification must certify terminal
-    rows = verify_family((6, 10, 15, None), range(1, 51))
-    for r in rows:
-        assert r.status == "ok"
-        if gcd(r.value, 30) == 1:
-            assert r.eps_log_terminal
-            assert r.n_min == (6 if r.value >= 7 else r.value)
-
-
-def test_verify_family_flags_imprimitive_fills():
-    rows = verify_family((2, 4, None), range(1, 7))
-    for r in rows:
-        if r.value % 2 == 0:
-            assert r.status == "imprimitive" and r.weights is None
-        else:
-            assert r.status == "ok" and r.weights == (2, 4, r.value)
-
-
-def test_verify_family_kawakita_slot():
-    rows = verify_family((1, 1, None), range(1, 51))
-    assert all(r.status == "ok" and r.eps_log_terminal for r in rows)
-
-
-def test_verify_family_validation():
-    with pytest.raises(ValueError):
-        verify_family((6, 10, 15), range(1, 3))  # no slot
-    with pytest.raises(ValueError):
-        verify_family((6, None, None), range(1, 3))  # two slots
-    with pytest.raises(ValueError):
-        verify_family((0, 10, None), range(1, 3))  # nonpositive fixed weight
-    with pytest.raises(ValueError):
-        verify_family((6, 10, None), [0])  # nonpositive slot value
-    with pytest.raises(ValueError):
-        verify_family((2, 4, None), [2, 4], eps=5)  # eps outside (0, 1]
-
-
-def test_verify_family_eps_variant():
-    rows = verify_family((1, None), range(1, 8), eps=F(1, 2))
-    for r in rows:
-        v = classify(WeightVector(r.weights), F(1, 2))
-        assert (r.eps_log_terminal, r.eps_log_canonical) == (
-            v.eps_log_terminal, v.eps_log_canonical)
