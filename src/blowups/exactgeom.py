@@ -11,7 +11,9 @@ and integer overflow cannot occur.  The central objects are:
   Conv(0, e_1, ..., e_d) towards p by a factor eps in (0, 1].
 
 The module enumerates lattice points of Z^d + Z*p inside the shrunk simplex
-coset by coset (one candidate per residue class, O(V * d) steps), and
+coset by coset (one candidate per residue class, O(V * d) steps at most: the
+axes are visited heaviest first with a running sum, and a class is dropped at
+its first negative coordinate or as soon as the sum overshoots), and
 provides an independent brute-force scan of the integer points of
 eps * Conv(e_1, ..., e_d, n) in the original coordinates; the affine change
 of coordinates mapping one picture to the other is `to_integer_lattice`.
@@ -181,8 +183,16 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
     point of class k to k/V mod 1, so it is a coset point only at k = 0 and
     eps = 1.  Hence class 0 gives the d+1 vertices at eps = 1 and nothing
     otherwise, and each class k >= 1 has the one candidate frac(k*p).
-    Witnesses come out ordered by (k, z) with z lexicographic, which
-    downstream code relies on.
+
+    A candidate is outside exactly when some scaled coordinate ybar_i is
+    negative or their sum exceeds a*V (eps = a/b).  The axes are visited in
+    descending order of weight with a running sum, so a class is rejected at
+    its first overshoot; only the survivors, which are the witnesses, get
+    their coordinates rebuilt in axis order and classified.  The sum never
+    equals a*V for k >= 1: that needs b | a, so eps = 1 and s(k) = V, but the
+    residue sum s(k) is congruent to k mod V.  Witnesses come out ordered by
+    (k, z) with z lexicographic, which downstream code relies on; the cutoff
+    changes neither the order nor the classes.
     """
     n = s.weights.n
     V, d = s.V, s.d
@@ -194,19 +204,19 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
         for z in [(0,) * d, *units]:
             point = tuple(map(Fraction, z))
             out.append(LatticeWitness(0, z, point, MembershipClass.VERTEX))
-    shift = [(b - a) * ni for ni in n]
+    heaviest_first = [(ni, (b - a) * ni) for ni in sorted(n, reverse=True)]
     for k in range(1, V):
         # y scaled by a*V: ybar_i = b*(k*n_i mod V) - (b-a)*n_i
-        ybar = []
-        for ni, si in zip(n, shift):
+        total = 0
+        for ni, si in heaviest_first:
             y = b * (k * ni % V) - si
-            if y < 0:
+            total += y
+            if y < 0 or total > scale:
                 break
-            ybar.append(y)
         else:
-            cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
-            if cls is not MembershipClass.OUTSIDE:
-                out.append(LatticeWitness(k, (0,) * d, frac_point(s.weights, k), cls))
+            ybar = [b * (k * ni % V) - (b - a) * ni for ni in n]
+            cls = _barycentric_class([scale - total, *ybar], scale)
+            out.append(LatticeWitness(k, (0,) * d, frac_point(s.weights, k), cls))
     return out
 
 

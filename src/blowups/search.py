@@ -2,8 +2,9 @@
 
 Candidates are enumerated one representative per permutation class (weights
 nondecreasing) since the classification flags are permutation invariant.
-Work is partitioned by index V, which is embarrassingly parallel; results are
-merged in V order so the output is identical for any worker count.
+Work is partitioned by index V, which is embarrassingly parallel; the largest
+index is submitted first, and results are merged in V order so the output is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -210,16 +211,18 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
         raise BudgetExceeded(
             f"projected {projected} candidates exceed budget {q.budget}"
         )
-    tasks = [(q, V) for V in range(_first_index(q), q.v_max + 1)]
+    # largest index first: the heaviest task starts at once instead of last
+    tasks = [(q, V) for V in range(q.v_max, _first_index(q) - 1, -1)]
     workers = pool_size(workers, len(tasks))
     if workers <= 1:
         blocks = [_census_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_census_block, tasks, chunksize=1))
+    blocks.reverse()  # back to V order for the merge
     hist = Histogram()
     hits: list[CensusHit] = []
-    for _, counts, block_hits in blocks:  # blocks arrive in V order
+    for _, counts, block_hits in blocks:
         for key, c in sorted(counts.items()):
             hist.add(key, c)
         hits.extend(block_hits)

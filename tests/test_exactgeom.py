@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowups.exactgeom import (
     MembershipClass,
@@ -11,6 +13,7 @@ from blowups.exactgeom import (
     ShrunkSimplex,
     WeightVector,
     ZeroWeightError,
+    _barycentric_class,
     brute_force_lattice_points,
     classify_point,
     frac_point,
@@ -165,12 +168,108 @@ def test_coset_soundness_and_recheck(w, eps):
     # one candidate per class: k >= 1 needs no translate, and class 0 gives
     # exactly the d+1 vertices of the standard simplex at eps = 1
     assert all(wit.z == (0,) * w.d for wit in got if wit.k >= 1)
+    # no point of class k >= 1 lies on the facet opposite the apex, so the
+    # running-sum cutoff of the enumeration can never meet its bound exactly
+    y_sums = [sum(wit.point) - (1 - eps) * sum(s.p) for wit in got if wit.k >= 1]
+    assert all(t != eps for t in y_sums)
     zero = [wit for wit in got if wit.k == 0]
     if eps == 1:
         assert len(zero) == w.d + 1
         assert all(wit.membership is MembershipClass.VERTEX for wit in zero)
     else:
         assert zero == []
+
+
+# ------------------------------------------- pruned loop against the full one
+
+
+def _unpruned_lattice_points(s):
+    """The coset enumeration without the running-sum cutoff, as plain fields.
+
+    Every class k >= 1 is tested in the original axis order, and whatever
+    passes the sign test is classified whole.  A witness is (k, z, V*point,
+    class): V*point is integral, so the points compare exactly without
+    building a `Fraction` per coordinate.
+    """
+    n, V, d = s.weights.n, s.V, s.d
+    a, b = s.eps.numerator, s.eps.denominator
+    scale = a * V
+    out = []
+    if a == b:
+        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
+        for z in [(0,) * d, *units]:
+            out.append((0, z, tuple(V * zi for zi in z), MembershipClass.VERTEX))
+    for k in range(1, V):
+        residues = tuple(k * ni % V for ni in n)
+        ybar = [b * r - (b - a) * ni for r, ni in zip(residues, n)]
+        if min(ybar) < 0:
+            continue
+        cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
+        if cls is not MembershipClass.OUTSIDE:
+            out.append((k, (0,) * d, residues, cls))
+    return out
+
+
+def _fields(witnesses, V):
+    return [
+        (x.k, x.z, tuple(c.numerator * (V // c.denominator) for c in x.point), x.membership)
+        for x in witnesses
+    ]
+
+
+PRUNE_EPSILONS = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]
+
+
+# sha256 over every (vector, eps) pair and its witness fields, taken from the
+# enumeration before the running-sum cutoff; 75,936 pairs in all
+PRUNE_DIGESTS = {
+    (2, 150):
+        "9a883ab1a9ab28f3ac627e446c3e5034e51d78161f086533bbaf71ba4c3c723c",
+    (3, 60):
+        "a3087d572e037a29a3cb94170b9e9067862e633a9888867d074e237ceac8d10f",
+    (4, 30):
+        "bf86309a0be1d62d0826817a9c8027f9ea4f9e978a60cd0a64a83fc182e87cf7",
+    (5, 16):
+        "9bbc85c540493ae93073a2f00601d761d554121ef8f71c1436584259b41a6aab",
+}
+
+
+@pytest.mark.parametrize("d,vmax", sorted(PRUNE_DIGESTS))
+def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
+    h = hashlib.sha256()
+    for V in range(1, vmax + 1):
+        for w in enumerate_blowups(d, V):
+            for eps in PRUNE_EPSILONS:
+                s = ShrunkSimplex(w, eps)
+                got = _fields(lattice_points_in_shrunk_simplex(s), V)
+                assert got == _unpruned_lattice_points(s), (w.n, eps)
+                h.update(repr((w.n, str(eps), got)).encode())
+    assert h.hexdigest() == PRUNE_DIGESTS[d, vmax]
+
+
+@st.composite
+def _large_index_vectors(draw, min_d=4, max_d=6, max_index=400):
+    # a composition of V + 1 into d positive parts, cut at d - 1 distinct points
+    d = draw(st.integers(min_d, max_d))
+    V = draw(st.integers(d - 1, max_index))
+    cuts = sorted(draw(st.sets(st.integers(1, V), min_size=d - 1, max_size=d - 1)))
+    parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, V + 1])]
+    assume(gcd(*parts) == 1)
+    return WeightVector(tuple(parts))
+
+
+@st.composite
+def _epsilons(draw):
+    b = draw(st.integers(1, 12))
+    return F(draw(st.integers(1, b)), b)
+
+
+@given(_large_index_vectors(), _epsilons())
+@settings(max_examples=150, deadline=None)
+def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
+    s = ShrunkSimplex(w, eps)
+    got = _fields(lattice_points_in_shrunk_simplex(s), w.V)
+    assert got == _unpruned_lattice_points(s)
 
 
 # ---------------------------------------------------------------- brute force

@@ -49,6 +49,24 @@ GOLDEN = [
      "9daa637308c04c40c361e5d57ff3cc5cfaa79a55d1c90ab72f804eb520b04550", 0),
     (("classify", "--weights", "3,5,7,11", "--epsilon", "2/3"),
      "f1b862998dbc0a42fade2e9e4d18e81d6153c5ca4330a2258a1a9ab0cc9e3a33", 0),
+    # witness-bearing outputs of the coset enumeration, taken before its
+    # running-sum cutoff: a boundary witness at eps = 1, the same class k = 8
+    # interior at eps = 1 and boundary at eps = 1/2, an interior one at 1/2,
+    # and (7, 8, 8), whose boundary class 17 comes before the interior class
+    # 20 that must be reported
+    (("classify", "--weights", "2,3,5", "--epsilon", "1"),
+     "627d3a3516138f85cdaa7da0c49f7f2360294478469e9bf51182e55f1feb33ad", 0),
+    (("classify", "--weights", "3,4,4", "--epsilon", "1"),
+     "db9d3dda3dba198955a724f4630dd46280623145e1bd64afd06572cef8fe8dc7", 0),
+    (("classify", "--weights", "3,4,4", "--epsilon", "1/2"),
+     "a9b30b145bcb00119657af75ea2b70b4c1668cd5b5d591a9a31fd0b50a279a5c", 0),
+    (("classify", "--weights", "4,5,5", "--epsilon", "1/2"),
+     "b013f3dc229862d83a6cdd655641efc21b33314993d37ff2d0fc3ec992094266", 0),
+    (("classify", "--weights", "7,8,8", "--epsilon", "1/2"),
+     "367f210fb758e055b0f86c9a0f7b7437e6504baa63ce75671aac6870cca624fc", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmax", "40",
+      "--epsilon", "2/3", "--verdict", "eps-lt"),
+     "1d14b3a4a03d0c673b5c998e8b1f15c7b12c26b9e75b21df09da2aa361434838", 0),
 ]
 
 

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from blowups import search
 from blowups.classifier import classify
 from blowups.exactgeom import MembershipClass, brute_force_lattice_points
 from blowups.search import (
@@ -137,6 +138,22 @@ def test_census_deterministic_across_workers():
     c = run_census(q, workers=3)
     assert a.histogram.counts == b.histogram.counts == c.histogram.counts
     assert a.hits == b.hits == c.hits
+
+
+def test_census_submits_largest_index_first(monkeypatch):
+    # the heaviest block starts first; the merge still gives (V, lex) order
+    seen = []
+    block = search._census_block
+
+    def recording_block(task):
+        seen.append(task[1])
+        return block(task)
+
+    monkeypatch.setattr(search, "_census_block", recording_block)
+    got = run_census(CensusQuery(d=3, v_max=20, v_min=5))
+    assert seen == list(range(20, 4, -1))
+    keys = [(h.V, h.weights) for h in got.hits]
+    assert keys == sorted(keys) and {V for V, _ in keys} == set(range(5, 21))
 
 
 def test_pool_size_clamp(monkeypatch):
