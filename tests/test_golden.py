@@ -67,6 +67,17 @@ GOLDEN = [
     (("census", "--threads", "1", "--dim", "4", "--vmax", "40",
       "--epsilon", "2/3", "--verdict", "eps-lt"),
      "1d14b3a4a03d0c673b5c998e8b1f15c7b12c26b9e75b21df09da2aa361434838", 0),
+    # taken before every command wrote its output through `main`: bound mode
+    # (which ignores --sign), a width with repeated points, and a refused
+    # sign that writes nothing and exits 2
+    (("family", "--id", "Q2", "--apex", "3"),
+     "7a7821b23e72cbc955ae776e74cda7a6ded9e86be5b8238a0a3bcb22038d9596", 0),
+    (("family", "--id", "N7", "--apex", "1", "--sign", "-"),
+     "f0469743370b795628b65270bad00017d52a2186ced107e0f85e6c990a87c1af", 0),
+    (("width", "--points", "[[0,0],[2,0],[0,2],[0,0],[2,0]]", "--origin-index", "0"),
+     "7660ea45b1e163c7c92f03ef3c3f7165142613f156e5953069fed09ccac8bc29", 0),
+    (("family", "--id", "N1", "--apex", "4", "--volume", "4", "--sign", "-"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
 ]
 
 
