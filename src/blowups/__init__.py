@@ -18,7 +18,6 @@ from .exactgeom import (
     LatticeWitness,
     MembershipClass,
     OracleCapExceeded,
-    Rat,
     ShrunkSimplex,
     WeightVector,
     ZeroWeightError,

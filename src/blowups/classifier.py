@@ -27,7 +27,6 @@ from math import gcd
 from .exactgeom import (
     LatticeWitness,
     MembershipClass,
-    Rat,
     ShrunkSimplex,
     WeightVector,
     ZeroWeightError,  # re-exported; WeightVector raises it
@@ -37,43 +36,44 @@ from .exactgeom import (
 
 @dataclass(frozen=True)
 class SingularityClass:
-    """Verdict of `classify`, with a refuting lattice point when one exists.
+    """Verdict of `classify`: eps and the refuting lattice point, if any.
 
-    An interior witness refutes eps-log canonical; a boundary (non-vertex)
-    witness refutes eps-log terminal only.  The witness is None exactly when
-    both flags are true.
+    Both flags are read off the witness.  Terminal means there is none;
+    canonical means there is none or it lies on the boundary (not at a
+    vertex), so an interior witness refutes both flags and a boundary one
+    refutes eps-log terminal only.
     """
 
     eps: Fraction
-    eps_log_terminal: bool
-    eps_log_canonical: bool
     witness: LatticeWitness | None = None
 
-    def __post_init__(self) -> None:
-        if self.eps_log_terminal and not self.eps_log_canonical:
-            raise ValueError("terminal implies canonical")
+    @property
+    def eps_log_terminal(self) -> bool:
+        return self.witness is None
+
+    @property
+    def eps_log_canonical(self) -> bool:
+        w = self.witness
+        return w is None or w.membership is not MembershipClass.INTERIOR
 
 
-def classify(n: WeightVector, eps: Rat | int = 1) -> SingularityClass:
+def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
     """Decide eps-log terminal / eps-log canonical for the blowup with weights n.
 
     Terminal means the shrunk simplex meets the coset lattice only in
-    vertices; canonical means only in its boundary.  The witness choice is
-    deterministic: smallest k, then lexicographically smallest translate.
+    vertices; canonical means only in its boundary.  The witness is the
+    interior point of smallest class k, or failing one the boundary point of
+    smallest k.
     """
     simplex = ShrunkSimplex(n, eps)
-    interior: LatticeWitness | None = None
-    boundary: LatticeWitness | None = None
+    witness: LatticeWitness | None = None
     for w in lattice_points_in_shrunk_simplex(simplex):
         if w.membership is MembershipClass.INTERIOR:
-            interior = w
-            break  # witnesses arrive in (k, z) order; first hit is minimal
-        if w.membership is MembershipClass.BOUNDARY_NONVERTEX and boundary is None:
-            boundary = w
-    canonical = interior is None
-    terminal = canonical and boundary is None
-    witness = interior if not canonical else (boundary if not terminal else None)
-    return SingularityClass(simplex.eps, terminal, canonical, witness)
+            witness = w
+            break  # witnesses arrive in k order; the first interior one wins
+        if w.membership is MembershipClass.BOUNDARY_NONVERTEX and witness is None:
+            witness = w
+    return SingularityClass(simplex.eps, witness)
 
 
 def _reid_tai(n: WeightVector, canonical: bool) -> bool:

@@ -4,7 +4,8 @@ All output pipelines are deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
 terminal blowup above the smallest-weight bound, 2 usage or invalid input
 (an unreadable input file or unwritable `--out` included), 3 resource budget
-exceeded, 4 data integrity failure; `main` alone maps failures to them.
+exceeded, 4 data integrity failure.  Commands return (text, exit code);
+`main` alone writes the text, to stdout or `--out`, and maps failures.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ def parse_weights(text: str) -> WeightVector:
     return WeightVector(values)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -67,7 +61,7 @@ def _witness_json(w) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[str, int]:
     weights = parse_weights(args.weights)
     eps = parse_epsilon(args.epsilon)
     verdict = classify(weights, eps)
@@ -79,8 +73,7 @@ def cmd_classify(args) -> int:
         "eps_log_canonical": verdict.eps_log_canonical,
         "witness": _witness_json(verdict.witness) if verdict.witness else None,
     }
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
 def _histogram_csv(items) -> list[str]:
@@ -99,7 +92,7 @@ def _census_csv(result, d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[str, int]:
     query = CensusQuery(
         d=args.dim,
         v_min=args.vmin,
@@ -111,8 +104,7 @@ def cmd_census(args) -> int:
     )
     result = run_census(query, workers=args.threads)
     if args.format == "csv":
-        _emit(_census_csv(result, query.d), args.out)
-        return 0
+        return _census_csv(result, query.d), 0
     payload = {
         "dim": query.d,
         "v_min": query.v_min,
@@ -127,16 +119,14 @@ def cmd_census(args) -> int:
             for h in result.hits
         ],
     }
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[str, int]:
+    if args.volume is None:  # the bound is the same for either sign
+        bound = families.bound_dim1(args.id, args.apex)
+        return _json({"id": args.id, "apex": args.apex, "bound": str(bound)}), 0
     sign = -1 if args.sign == "-" else 1
-    if args.volume is None:
-        bound = families.bound_dim1(args.id, args.apex, sign=sign)
-        _emit(_json({"id": args.id, "apex": args.apex, "bound": str(bound)}), args.out)
-        return 0
     weights = families.blowup_from_quintuple(args.id, args.apex, args.volume, sign)
     payload = {
         "id": args.id,
@@ -148,22 +138,19 @@ def cmd_family(args) -> int:
     if weights is not None:
         payload["eps_log_terminal"] = is_terminal_fast(weights)
         payload["n_min"] = weights.n_min
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
-def cmd_family_table(args) -> int:
-    _emit(families.table_csv(), args.out)
-    return 0
+def cmd_family_table(args) -> tuple[str, int]:
+    return families.table_csv(), 0
 
 
-def cmd_family_scan(args) -> int:
+def cmd_family_scan(args) -> tuple[str, int]:
     payload = scan_families(args.vmax)
-    _emit(_json(payload), args.out)
-    return 0 if not payload["violations"] else 1
+    return _json(payload), 1 if payload["violations"] else 0
 
 
-def cmd_width(args) -> int:
+def cmd_width(args) -> tuple[str, int]:
     try:
         raw = json.loads(args.points)
     except json.JSONDecodeError as exc:
@@ -194,11 +181,10 @@ def cmd_width(args) -> int:
         "max_facet_width": max(widths),
         "ell_L": str(projections.ell_L(cfg)),
     }
-    _emit(_json(payload), args.out)
-    return 0
+    return _json(payload), 0
 
 
-def cmd_sporadic(args) -> int:
+def cmd_sporadic(args) -> tuple[str, int]:
     path = args.input or os.environ.get(DATASET_ENV)
     if path and not args.fixtures:
         records = sporadic.parse_dataset(path, strict=args.strict)
@@ -210,10 +196,8 @@ def cmd_sporadic(args) -> int:
     report["source"] = source
     if args.format == "csv":
         # the report's histogram is already in n_min order
-        _emit("\n".join(_histogram_csv(report["histogram"].items())) + "\n", args.out)
-        return 0
-    _emit(_json(report), args.out)
-    return 0
+        return "\n".join(_histogram_csv(report["histogram"].items())) + "\n", 0
+    return _json(report), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,14 +206,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact classification of weighted blowups of affine space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the output to this file, not stdout")
 
-    p = sub.add_parser("classify", help="classify one weight vector")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", cmd_classify, "classify one weight vector")
     p.add_argument("--weights", required=True, help="comma-separated positive integers")
     p.add_argument("--epsilon", default="1", help="rational in (0,1], e.g. 1 or 1/2")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("census", help="exhaustive census over an index range")
+    p = command("census", cmd_census, "exhaustive census over an index range")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--vmin", type=int, default=1)
@@ -239,41 +228,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--budget", type=int, default=CensusQuery.budget)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("family", help="instantiate one family row (or query its bound)")
+    p = command("family", cmd_family, "instantiate one family row (or query its bound)")
     p.add_argument("--id", required=True)
     p.add_argument("--apex", type=int, required=True)
     p.add_argument("--volume", type=int, default=None)
     p.add_argument("--sign", default="+", choices=["+", "-"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("family-table", help="audit CSV of the 46 family rows")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_family_table)
+    command("family-table", cmd_family_table, "audit CSV of the 46 family rows")
 
-    p = sub.add_parser("family-scan", help="scan all rows/apices/signs up to an index")
+    p = command("family-scan", cmd_family_scan, "scan all rows/apices/signs up to an index")
     p.add_argument("--vmax", type=int, default=300)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_family_scan)
 
-    p = sub.add_parser("width", help="facet widths of a projected configuration")
+    p = command("width", cmd_width, "facet widths of a projected configuration")
     p.add_argument("--points", required=True, help="JSON array of integer points")
     p.add_argument("--origin-index", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_width)
 
-    p = sub.add_parser("sporadic", help="blowup histogram of a sporadic-simplex dataset")
+    p = command("sporadic", cmd_sporadic, "blowup histogram of a sporadic-simplex dataset")
     p.add_argument("--input", default=None,
                    help=f"dataset file (default: ${DATASET_ENV} or embedded fixtures)")
     p.add_argument("--fixtures", action="store_true",
                    help="force the embedded fixture records")
     p.add_argument("--strict", action="store_true", help="strict dataset parsing")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sporadic)
 
     return parser
 
@@ -282,7 +259,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (sporadic.DatasetFormatError, sporadic.DatasetIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

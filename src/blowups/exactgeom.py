@@ -22,13 +22,14 @@ of coordinates mapping one picture to the other is `to_integer_lattice`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Rat = Fraction
+ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 
 
 class MembershipClass(Enum):
@@ -44,8 +45,10 @@ class OracleCapExceeded(RuntimeError):
     """The brute-force box scan was asked for an index above its cap."""
 
 
-def checked_eps(eps: Rat | int) -> Fraction:
-    """eps as an exact Fraction, refused outside the range (0, 1]."""
+def checked_eps(eps: Fraction | int) -> Fraction:
+    """eps as an exact Fraction, refused outside (0, 1] or as a binary float."""
+    if isinstance(eps, float):
+        raise TypeError(f"eps {eps!r} is a float; pass a Fraction, an int or 'p/q'")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
@@ -67,7 +70,7 @@ class WeightVector:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = tuple(map(int, self.n))
+        n = tuple(map(operator.index, self.n))
         object.__setattr__(self, "n", n)
         if len(n) < 2:
             raise ValueError("need at least two weights")
@@ -150,7 +153,7 @@ def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((k * v) % V, V) for v in n.n)
 
 
-def classify_point(x: Sequence[Rat | int], s: ShrunkSimplex) -> MembershipClass:
+def classify_point(x: Sequence[Fraction | int], s: ShrunkSimplex) -> MembershipClass:
     """Classify x against s using exact barycentric coordinates."""
     if len(x) != s.d:
         raise ValueError(f"point has dimension {len(x)}, simplex has {s.d}")
@@ -221,18 +224,18 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
 
 
 def brute_force_lattice_points(
-    n: WeightVector, eps: Rat | int = 1, cap: int = 60
+    n: WeightVector, eps: Fraction | int = 1
 ) -> list[tuple[tuple[int, ...], MembershipClass]]:
     """Integer points of the closed simplex eps * Conv(e_1, ..., e_d, n).
 
     Scans the integer bounding box and tests exact barycentric membership in
     the original coordinates; this is the independent oracle for the coset
-    enumeration above.  Cost grows like eps^d * V, hence the index cap.
+    enumeration above.  An index above `ORACLE_CAP` is refused.
     """
     eps = checked_eps(eps)
     V, d = n.V, n.d
-    if V > cap:
-        raise OracleCapExceeded(f"index {V} exceeds the oracle cap {cap}")
+    if V > ORACLE_CAP:
+        raise OracleCapExceeded(f"index {V} exceeds the oracle cap {ORACLE_CAP}")
     a, b = eps.numerator, eps.denominator
     scale = a * V
     his = [(a * ni) // b for ni in n.n]
@@ -249,7 +252,7 @@ def brute_force_lattice_points(
 
 
 def to_integer_lattice(
-    x: Sequence[Rat | int], n: WeightVector
+    x: Sequence[Fraction | int], n: WeightVector
 ) -> tuple[Fraction, ...]:
     """Affine map fixing each e_i and sending the generating point to 0.
 

@@ -3,8 +3,10 @@
 Each family is labelled by a zero-sum quintuple of affine-dependence
 coefficients.  The 29 primitive families Q1-Q29 are constant in the index V;
 the 17 non-primitive families N1-N17 add the correction V*nums/index, held
-in integers (index 2, 3, 4 or 6), written `+/- V*nums/index` for N7-N17,
-where the sign applies to the whole correction vector at once.
+in integers (index 2, 3, 4 or 6).  The correction carries a sign, applied to
+the whole vector at once, exactly when index > 2 (N7-N17): at index 2 the
+two resolutions differ by V*nums, so they agree mod V and give the same
+blowups.
 
 A blowup is extracted from a family instance at index V by distinguishing an
 apex entry: if that entry is a unit mod V, scale the quintuple so the apex
@@ -50,11 +52,10 @@ class Quintuple:
     base: tuple[int, int, int, int, int]
     nums: tuple[int, int, int, int, int]  # the '+' resolution
     index: int
-    signed: bool  # True when the correction carries a +/- choice (N7-N17)
 
 
 def _q(label: str, base: tuple[int, ...]) -> Quintuple:
-    return Quintuple(label, base, (0,) * 5, 1, False)
+    return Quintuple(label, base, (0,) * 5, 1)
 
 
 _TABLE: tuple[Quintuple, ...] = (
@@ -87,23 +88,23 @@ _TABLE: tuple[Quintuple, ...] = (
     _q("Q27", (20, 3, -1, -10, -12)),
     _q("Q28", (24, 1, -5, -8, -12)),
     _q("Q29", (30, 1, -6, -10, -15)),
-    Quintuple("N1", (6, 1, -2, -2, -3), (1, 0, 0, 1, 0), 2, False),
-    Quintuple("N2", (4, 3, -1, -2, -4), (0, 0, 0, 1, 1), 2, False),
-    Quintuple("N3", (8, 1, -2, -3, -4), (0, 0, 1, 0, 1), 2, False),
-    Quintuple("N4", (6, 3, -1, -2, -6), (1, 0, 0, 1, 0), 2, False),
-    Quintuple("N5", (8, 3, -1, -4, -6), (0, 0, 0, 1, 1), 2, False),
-    Quintuple("N6", (12, 1, -3, -4, -6), (0, 0, 0, 1, 1), 2, False),
-    Quintuple("N7", (3, 1, -1, -1, -2), (0, 0, 1, 2, 0), 3, True),
-    Quintuple("N8", (3, 2, -1, -1, -3), (0, 0, 0, 2, 1), 3, True),
-    Quintuple("N9", (3, 2, -1, -2, -2), (0, 0, 0, 1, 2), 3, True),
-    Quintuple("N10", (4, 2, -1, -1, -4), (1, 0, 0, 2, 0), 3, True),
-    Quintuple("N11", (6, 1, -2, -2, -3), (0, 0, 0, 2, 1), 3, True),
-    Quintuple("N12", (6, 1, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
-    Quintuple("N13", (4, 3, -1, -2, -4), (0, 0, 2, 0, 1), 3, True),
-    Quintuple("N14", (6, 3, -1, -2, -6), (0, 1, 0, 1, 1), 3, True),
-    Quintuple("N15", (3, 2, -1, -1, -3), (1, 0, 0, 1, 2), 4, True),
-    Quintuple("N16", (6, 1, -1, -3, -3), (0, 1, 0, 1, 2), 4, True),
-    Quintuple("N17", (3, 1, -1, -1, -2), (0, 1, 0, 1, 4), 6, True),
+    Quintuple("N1", (6, 1, -2, -2, -3), (1, 0, 0, 1, 0), 2),
+    Quintuple("N2", (4, 3, -1, -2, -4), (0, 0, 0, 1, 1), 2),
+    Quintuple("N3", (8, 1, -2, -3, -4), (0, 0, 1, 0, 1), 2),
+    Quintuple("N4", (6, 3, -1, -2, -6), (1, 0, 0, 1, 0), 2),
+    Quintuple("N5", (8, 3, -1, -4, -6), (0, 0, 0, 1, 1), 2),
+    Quintuple("N6", (12, 1, -3, -4, -6), (0, 0, 0, 1, 1), 2),
+    Quintuple("N7", (3, 1, -1, -1, -2), (0, 0, 1, 2, 0), 3),
+    Quintuple("N8", (3, 2, -1, -1, -3), (0, 0, 0, 2, 1), 3),
+    Quintuple("N9", (3, 2, -1, -2, -2), (0, 0, 0, 1, 2), 3),
+    Quintuple("N10", (4, 2, -1, -1, -4), (1, 0, 0, 2, 0), 3),
+    Quintuple("N11", (6, 1, -2, -2, -3), (0, 0, 0, 2, 1), 3),
+    Quintuple("N12", (6, 1, -1, -2, -4), (0, 0, 2, 0, 1), 3),
+    Quintuple("N13", (4, 3, -1, -2, -4), (0, 0, 2, 0, 1), 3),
+    Quintuple("N14", (6, 3, -1, -2, -6), (0, 1, 0, 1, 1), 3),
+    Quintuple("N15", (3, 2, -1, -1, -3), (1, 0, 0, 1, 2), 4),
+    Quintuple("N16", (6, 1, -1, -3, -3), (0, 1, 0, 1, 2), 4),
+    Quintuple("N17", (3, 1, -1, -1, -2), (0, 1, 0, 1, 4), 6),
 )
 
 _BY_LABEL = {q.label: q for q in _TABLE}
@@ -124,8 +125,12 @@ def get_quintuple(label: str) -> Quintuple:
 
 
 def sign_choices(q: Quintuple) -> tuple[int, ...]:
-    """The correction signs to try for a row: (+1,) unless the row carries +/-."""
-    return (1, -1) if q.signed else (1,)
+    """The correction signs to try for a row: both exactly when index > 2.
+
+    Below that the '-' resolution is the '+' one (index 1) or agrees with it
+    mod V (index 2), so it gives no other blowup.
+    """
+    return (1, -1) if q.index > 2 else (1,)
 
 
 def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
@@ -133,7 +138,7 @@ def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
     q = get_quintuple(label)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == -1 and not q.signed and q.index > 1:
+    if sign == -1 and q.index == 2:
         raise ValueError(f"{label} has a fixed correction sign")
     if V < 1:
         raise ValueError("index V must be positive")
@@ -236,27 +241,17 @@ def scan_families(v_max: int) -> dict:
     }
 
 
-def bound_dim1(
-    label: str, apex: int, V: int | None = None, sign: int = 1
-) -> Fraction:
+def bound_dim1(label: str, apex: int) -> Fraction:
     """Smallest-weight bound max_i(-q_i / q_apex) over the non-apex entries.
 
     The bound depends only on the line spanned by the base quintuple, so the
-    base entries are used for every row; when V is given, the instantiated
-    apex entry is additionally required to be nonzero (the line must not be
-    parallel to the coordinate-sum hyperplane after deleting the apex).
+    base entries are used for every row, whatever the index and the sign of
+    the correction.  Every base entry is nonzero.
     """
     if apex not in APICES:
         raise ValueError(f"apex must be in {APICES}")
-    q = get_quintuple(label)
-    a0 = q.base[apex - 1]
-    if V is not None and instantiate(label, V, sign)[apex - 1] == 0:
-        raise ValueError(f"{label} apex {apex} entry vanishes at V={V}")
-    if a0 == 0:
-        raise ValueError(f"{label} apex {apex} entry is zero")
-    return max(
-        Fraction(-b, a0) for i, b in enumerate(q.base) if i != apex - 1
-    )
+    b = get_quintuple(label).base
+    return max(Fraction(-x, b[apex - 1]) for i, x in enumerate(b) if i != apex - 1)
 
 
 def bound_subset(point, J, s: int) -> int | None:

@@ -14,6 +14,7 @@ any blowup whose generating point projects outside the hull.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,7 +28,7 @@ class ProjectedConfig:
     origin_index: int = 0
 
     def __post_init__(self) -> None:
-        pts = tuple(tuple(int(c) for c in p) for p in self.points)
+        pts = tuple(tuple(map(operator.index, p)) for p in self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("empty configuration")

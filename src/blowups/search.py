@@ -13,7 +13,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Callable, Iterator
 
@@ -64,8 +63,6 @@ class Histogram:
         return sum(self.counts.values())
 
     def add(self, key: int, amount: int = 1) -> None:
-        if key < 1:
-            raise ValueError("histogram keys are weights, hence >= 1")
         self.counts[key] = self.counts.get(key, 0) + amount
 
     def items(self) -> list[tuple[int, int]]:
@@ -111,7 +108,6 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
             yield WeightVector(tup)
 
 
-@lru_cache(maxsize=None)
 def _partition_row(j_max: int, parts: int) -> tuple[int, ...]:
     # taking 1 from each part maps partitions of m into exactly `parts` parts
     # onto partitions of j = m - parts into parts of size at most `parts`;
@@ -172,7 +168,7 @@ def _predicate(q: CensusQuery) -> Callable[[WeightVector], bool]:
     return lambda w: classify(w, q.eps).eps_log_canonical
 
 
-def _census_block(args: tuple[CensusQuery, int]) -> tuple[int, dict[int, int], list[CensusHit]]:
+def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[CensusHit]]:
     q, V = args
     passes = _predicate(q)
     counts: dict[int, int] = {}
@@ -183,7 +179,7 @@ def _census_block(args: tuple[CensusQuery, int]) -> tuple[int, dict[int, int], l
             counts[m] = counts.get(m, 0) + 1
             if q.min_weight is None or m >= q.min_weight:
                 hits.append(CensusHit(V, w.n, m))
-    return V, counts, hits
+    return counts, hits
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -222,8 +218,8 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     blocks.reverse()  # back to V order for the merge
     hist = Histogram()
     hits: list[CensusHit] = []
-    for _, counts, block_hits in blocks:
-        for key, c in sorted(counts.items()):
+    for counts, block_hits in blocks:
+        for key, c in counts.items():
             hist.add(key, c)
         hits.extend(block_hits)
     return CensusResult(hist, hits)

@@ -15,6 +15,7 @@ testable without the external file.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,8 @@ class SporadicRecord:
     b: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        b = tuple(int(x) for x in self.b)
+        b = tuple(map(operator.index, self.b))
+        object.__setattr__(self, "V", operator.index(self.V))
         object.__setattr__(self, "b", b)
         if self.V < 1:
             raise ValueError("volume must be positive")

@@ -82,9 +82,22 @@ def test_witness_reproduces_refutation():
             assert v.witness.membership is MembershipClass.INTERIOR
 
 
-def test_singularity_class_flag_implication_guard():
-    with pytest.raises(ValueError):
-        SingularityClass(F(1), True, False)
+def test_singularity_class_flags_read_off_witness():
+    # no witness: both flags; a boundary one refutes terminal only; an
+    # interior one refutes both, so "terminal but not canonical" cannot occur
+    empty = SingularityClass(F(1))
+    assert empty.eps_log_terminal and empty.eps_log_canonical
+    for n, flags in (((2, 3, 5), (False, True)), ((3, 4, 4), (False, False))):
+        v = classify(W(*n), 1)
+        assert (v.eps_log_terminal, v.eps_log_canonical) == flags
+        assert v == SingularityClass(F(1), v.witness)
+
+
+def test_classify_refuses_float_eps():
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="0.1"):
+        classify(W(2, 3, 5), 0.1)
+    assert classify(W(2, 3, 5), "1/10").eps == F(1, 10)
 
 
 # -------------------------------------------------------------- fast paths

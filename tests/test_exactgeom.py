@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blowups.exactgeom import (
+    ORACLE_CAP,
     MembershipClass,
     OracleCapExceeded,
     ShrunkSimplex,
@@ -48,6 +49,13 @@ def test_weight_vector_invariants():
     # a zero weight is refused by the type, even when primitive with V >= 1
     with pytest.raises(ZeroWeightError):
         WeightVector((0, 1, 2))
+
+
+def test_weight_vector_refuses_non_integers():
+    # int() would truncate 1.9 to 1 and 5/2 to 2 without a word
+    for bad in ((1.9, 2), (F(5, 2), 3), ("2", 3)):
+        with pytest.raises(TypeError):
+            WeightVector(bad)
 
 
 def test_generating_point_identities():
@@ -291,9 +299,10 @@ def test_brute_force_examples():
 
 
 def test_brute_force_cap():
+    assert ORACLE_CAP == 60
     with pytest.raises(OracleCapExceeded):
-        brute_force_lattice_points(WeightVector((30, 31)), 1, cap=59)
-    assert brute_force_lattice_points(WeightVector((30, 31)), 1, cap=60)
+        brute_force_lattice_points(WeightVector((29, 33)), 1)  # V = 61
+    assert brute_force_lattice_points(WeightVector((30, 31)), 1)  # V = 60
 
 
 def test_brute_force_rejects_bad_eps():

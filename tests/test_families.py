@@ -67,7 +67,6 @@ def test_table_row_invariants():
         assert q.index in (1, 2, 3, 4, 6)
         assert sum(q.nums) == (0 if q.index == 1 else q.index)
         assert gcd(*q.nums, q.index) == 1
-        assert q.signed == (q.index > 2)
 
 
 def test_table_verbatim_rows():
@@ -144,7 +143,7 @@ def test_instantiate_matches_rational_definition():
     for q in quintuple_table():
         rs = [F(m, q.index) for m in q.nums]
         for sign in (1, -1):
-            if sign == -1 and q.index > 1 and not q.signed:
+            if sign == -1 and q.index == 2:
                 continue  # a fixed-sign row; see test_instantiate_signs
             for V in range(1, 121):
                 want = [b + sign * V * r for b, r in zip(q.base, rs)]
@@ -266,10 +265,8 @@ def test_bound_dim1_ratio_table():
 
 
 def test_bound_dim1_vanishing_apex_entry():
-    # N1 at V=4 instantiates to (8, 1, -2, 0, -3): apex 4 vanishes
-    with pytest.raises(ValueError):
-        bound_dim1("N1", 4, V=4)
-    # without V the base entry -2 is used: max(-6/-2, -1/-2, 2/-2, 3/-2) = 3
+    # N1 at V=4 instantiates to (8, 1, -2, 0, -3), where apex 4 vanishes, but
+    # the bound reads the base entry -2: max(-6/-2, -1/-2, 2/-2, 3/-2) = 3
     assert bound_dim1("N1", 4) == 3
     with pytest.raises(ValueError):
         bound_dim1("Q1", 0)
@@ -317,3 +314,21 @@ def test_sign_choices():
     assert sign_choices(get_quintuple("Q1")) == (1,)
     assert sign_choices(get_quintuple("N1")) == (1,)
     assert sign_choices(get_quintuple("N7")) == (1, -1)
+
+
+def test_sign_matters_exactly_above_index_2():
+    # the two resolutions base +/- V*nums/index differ by 2*V*nums/index: a
+    # multiple of V at index 2, so every apex gives the same blowup there
+    def residues(q, V, sign):
+        return [(b + sign * V * m // q.index) % V for b, m in zip(q.base, q.nums)]
+
+    for q in quintuple_table():
+        if q.index == 2:
+            assert all(
+                residues(q, V, 1) == residues(q, V, -1) for V in range(2, 121, 2)
+            ), q.label
+        elif q.index > 2:
+            assert any(
+                residues(q, V, 1) != residues(q, V, -1)
+                for V in range(q.index, 121, q.index)
+            ), q.label

@@ -26,6 +26,13 @@ def test_config_validation():
         ProjectedConfig(((0, 0), (1,)))
 
 
+def test_config_refuses_non_integers():
+    with pytest.raises(TypeError):
+        ProjectedConfig(((0, 0), (2.5, 0), (0, 2)))
+    with pytest.raises(TypeError):
+        ProjectedConfig(((0,), (F(3, 2),)))
+
+
 def test_segment_facets_and_widths():
     fs = facets(SEGMENT)
     assert {(f.normal, f.offset) for f in fs} == {((1,), 1), ((-1,), 0)}

@@ -22,6 +22,14 @@ from blowups.sporadic import (
 # ------------------------------------------------------------------- records
 
 
+def test_record_refuses_non_integers():
+    # int() would truncate 6.7 to 6 and accept the record
+    with pytest.raises(TypeError):
+        SporadicRecord(37, (6.7, 10, 15, 7, 36))
+    with pytest.raises(TypeError):
+        SporadicRecord(37.0, (6, 10, 15, 7, 36))
+
+
 def test_record_invariants():
     r = SporadicRecord(245, (32, 41, 71, 102, 244))
     assert sum(r.b) % r.V == 0
