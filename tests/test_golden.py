@@ -78,6 +78,12 @@ GOLDEN = [
      "7660ea45b1e163c7c92f03ef3c3f7165142613f156e5953069fed09ccac8bc29", 0),
     (("family", "--id", "N1", "--apex", "4", "--volume", "4", "--sign", "-"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    # taken before facets were found by one supporting-hyperplane test: the
+    # k = 1 and k = 3 widths
+    (("width", "--points", "[[0],[1],[-1],[0]]"),
+     "49f9861adca54b756a4ee655a7a72b482c0d9b5a234acdd9dd386d992c8b35b8", 0),
+    (("width", "--points", "[[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,1]]"),
+     "6e7371c37d4688a5a56a68c94a25094187ef757e2b7d1a56735892c6302e0f63", 0),
 ]
 
 
