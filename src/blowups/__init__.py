@@ -41,7 +41,6 @@ from .families import (
 from .projections import FacetData, ProjectedConfig, ell_L, facet_width, facets
 from .search import (
     BudgetExceeded,
-    CensusHit,
     CensusQuery,
     CensusResult,
     Histogram,

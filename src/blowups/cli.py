@@ -86,7 +86,7 @@ def _census_csv(result, d: int) -> str:
     lines.append("")
     lines.append("V," + ",".join(f"n_{i + 1}" for i in range(d)) + ",n_min")
     lines += [
-        f"{h.V}," + ",".join(map(str, h.weights)) + f",{h.n_min}"
+        f"{h.V}," + ",".join(map(str, h.n)) + f",{h.n_min}"
         for h in result.hits
     ]
     return "\n".join(lines) + "\n"
@@ -115,7 +115,7 @@ def cmd_census(args) -> tuple[str, int]:
         "histogram": {str(k): c for k, c in result.histogram.items()},
         "total": result.histogram.total,
         "hits": [
-            {"V": h.V, "weights": list(h.weights), "n_min": h.n_min}
+            {"V": h.V, "weights": list(h.n), "n_min": h.n_min}
             for h in result.hits
         ],
     }
@@ -166,6 +166,7 @@ def cmd_width(args) -> tuple[str, int]:
     )
     facet_list = projections.facets(cfg)
     widths = [projections.facet_width(cfg, f) for f in facet_list]
+    ell = projections.ell_L(cfg)
     payload = {
         "points": [list(p) for p in cfg.points],
         "origin_index": cfg.origin_index,
@@ -179,7 +180,7 @@ def cmd_width(args) -> tuple[str, int]:
             for f, w in zip(facet_list, widths)
         ],
         "max_facet_width": max(widths),
-        "ell_L": str(projections.ell_L(cfg)),
+        "ell_L": None if ell is None else str(ell),
     }
     return _json(payload), 0
 

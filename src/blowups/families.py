@@ -202,6 +202,8 @@ def scan_families(v_max: int) -> dict:
     A violation is a terminal blowup with smallest weight above 6, which the
     one-dimensional bounds rule out.
     """
+    if v_max < 1:
+        raise ValueError(f"v_max must be >= 1, got {v_max}")
     produced = 0
     terminal = 0
     worst = 0

@@ -2,13 +2,15 @@
 
 A configuration is the multiset image of {0, e_1, ..., e_d} under a lattice
 projection to Z^k with k <= 3, given explicitly as integer points with one
-index marked as the image of the origin.  Facets of the convex hull are found
-by brute force over k-subsets, each carrying its primitive integer normal.
+index marked as the image of the origin.  A facet of the convex hull is a
+hyperplane through k affinely independent points with every point on one
+side, found by testing each k-subset in integers with its primitive normal.
 
 `facet_width` is the spread of the configuration along a facet normal;
 `ell_L` is the max over facets of the min over off-facet non-origin points of
 dist(facet, origin) / dist(facet, point), which caps the smallest weight of
-any blowup whose generating point projects outside the hull.
+any blowup whose generating point projects outside the hull (None if that
+min is over an empty set for some facet: there is no finite bound).
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ class ProjectedConfig:
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {k}")
         if any(len(p) != k for p in pts):
             raise ValueError("points have mixed dimensions")
-        if not 0 <= self.origin_index < len(pts):
-            raise ValueError(f"origin index {self.origin_index} out of range")
-        if _affine_rank(pts) != k:
+        origin = operator.index(self.origin_index)
+        object.__setattr__(self, "origin_index", origin)
+        if not 0 <= origin < len(pts):
+            raise ValueError(f"origin index {origin} out of range")
+        # the points span Z^k iff some hyperplane through k of them misses one
+        if not any(
+            (f := _normal(sub)) and len({_dot(f, p) for p in pts}) > 1
+            for sub in itertools.combinations(sorted(set(pts)), k)
+        ):
             raise ValueError("points do not affinely span the ambient space")
 
     @property
@@ -61,98 +69,70 @@ class FacetData:
     incident: tuple[int, ...]
 
 
-def _affine_rank(pts) -> int:
-    rows = [
-        [Fraction(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]
-    ]
-    rank = 0
-    cols = len(pts[0])
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _dot(f, p) -> int:
+    return sum(a * b for a, b in zip(f, p))
 
 
-def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(c // g for c in v)
-
-
-def _candidate_normals(pts, k) -> set[tuple[int, ...]]:
-    distinct = sorted(set(pts))
-    normals: set[tuple[int, ...]] = set()
-    if k == 1:
-        normals.add((1,))
-    elif k == 2:
-        for p, q in itertools.combinations(distinct, 2):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            normals.add(_primitive((dy, -dx)))
+def _normal(sub) -> tuple[int, ...] | None:
+    """Primitive normal of the hyperplane through k points of Z^k, or None."""
+    p = sub[0]
+    if len(p) == 1:
+        return (1,)
+    u = [a - b for a, b in zip(sub[1], p)]
+    if len(p) == 2:
+        n = (u[1], -u[0])
     else:
-        for p, q, r in itertools.combinations(distinct, 3):
-            u = tuple(q[i] - p[i] for i in range(3))
-            v = tuple(r[i] - p[i] for i in range(3))
-            cr = (
-                u[1] * v[2] - u[2] * v[1],
-                u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0],
-            )
-            if any(cr):
-                normals.add(_primitive(cr))
-    return normals
+        v = [a - b for a, b in zip(sub[2], p)]
+        n = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+    g = gcd(*n)
+    return tuple(c // g for c in n) if g else None
 
 
 def facets(cfg: ProjectedConfig) -> list[FacetData]:
     """All facet-supporting hyperplanes of the convex hull, outward normals."""
     pts = cfg.points
-    k = cfg.k
-    found: dict[tuple[tuple[int, ...], int], FacetData] = {}
-    for f in _candidate_normals(pts, k):
-        values = [sum(a * b for a, b in zip(f, p)) for p in pts]
-        for normal, offset in ((f, max(values)), (tuple(-c for c in f), -min(values))):
-            vals = values if normal == f else [-v for v in values]
-            incident = tuple(i for i, v in enumerate(vals) if v == offset)
-            on_plane = [pts[i] for i in incident]
-            if _affine_rank(on_plane) == k - 1:
-                found[(normal, offset)] = FacetData(normal, offset, incident)
-    return [found[key] for key in sorted(found)]
+    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for sub in itertools.combinations(sorted(set(pts)), cfg.k):
+        f = _normal(sub)
+        if f is None:
+            continue
+        c = _dot(f, sub[0])
+        values = [_dot(f, p) for p in pts]
+        if min(values) == c:
+            f, c, values = tuple(-a for a in f), -c, [-v for v in values]
+        if max(values) == c:
+            found[f, c] = tuple(i for i, v in enumerate(values) if v == c)
+    return [FacetData(f, c, incident) for (f, c), incident in sorted(found.items())]
 
 
 def facet_width(cfg: ProjectedConfig, facet: FacetData) -> int:
     """Spread of the configuration along the facet's primitive normal."""
-    values = [sum(a * b for a, b in zip(facet.normal, p)) for p in cfg.points]
+    values = [_dot(facet.normal, p) for p in cfg.points]
     return max(values) - min(values)
 
 
-def ell_L(cfg: ProjectedConfig) -> Fraction:
+def ell_L(cfg: ProjectedConfig) -> Fraction | None:
     """Max over facets of the min distance ratio origin-to-facet / point-to-facet.
 
-    Facets through the origin image contribute 0.  Every facet must miss at
-    least one non-origin point for the ratio to exist.
+    Facets through the origin image contribute 0.  None (no finite bound)
+    when another facet holds every non-origin point: its min is +infinity.
     """
     s0 = cfg.points[cfg.origin_index]
     best = Fraction(0)
     for facet in facets(cfg):
-        d0 = facet.offset - sum(a * b for a, b in zip(facet.normal, s0))
+        d0 = facet.offset - _dot(facet.normal, s0)
         if d0 == 0:
             continue
-        ratios = []
-        for i, p in enumerate(cfg.points):
-            if i == cfg.origin_index:
-                continue
-            di = facet.offset - sum(a * b for a, b in zip(facet.normal, p))
-            if di != 0:
-                ratios.append(Fraction(d0, di))
+        ratios = [
+            Fraction(d0, facet.offset - _dot(facet.normal, p))
+            for i, p in enumerate(cfg.points)
+            if i != cfg.origin_index and i not in facet.incident
+        ]
         if not ratios:
-            raise ValueError(
-                f"facet {facet.normal}.x = {facet.offset} contains every "
-                "non-origin point; the distance ratio is undefined"
-            )
+            return None
         best = max(best, min(ratios))
     return best

@@ -69,17 +69,10 @@ class Histogram:
         return sorted(self.counts.items())
 
 
-@dataclass(frozen=True)
-class CensusHit:
-    V: int
-    weights: tuple[int, ...]
-    n_min: int
-
-
 @dataclass
 class CensusResult:
     histogram: Histogram
-    hits: list[CensusHit]
+    hits: list[WeightVector]
 
 
 def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
@@ -168,17 +161,17 @@ def _predicate(q: CensusQuery) -> Callable[[WeightVector], bool]:
     return lambda w: classify(w, q.eps).eps_log_canonical
 
 
-def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[CensusHit]]:
+def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[WeightVector]]:
     q, V = args
     passes = _predicate(q)
     counts: dict[int, int] = {}
-    hits: list[CensusHit] = []
+    hits: list[WeightVector] = []
     for w in enumerate_blowups(q.d, V):
         if passes(w):
             m = w.n_min
             counts[m] = counts.get(m, 0) + 1
             if q.min_weight is None or m >= q.min_weight:
-                hits.append(CensusHit(V, w.n, m))
+                hits.append(w)
     return counts, hits
 
 
@@ -217,7 +210,7 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
             blocks = list(pool.map(_census_block, tasks, chunksize=1))
     blocks.reverse()  # back to V order for the merge
     hist = Histogram()
-    hits: list[CensusHit] = []
+    hits: list[WeightVector] = []
     for counts, block_hits in blocks:
         for key, c in counts.items():
             hist.add(key, c)

@@ -49,7 +49,7 @@ def test_criterion_1_kawakita_exhaustive():
     res = run_census(CensusQuery(d=3, v_max=200), workers=1)
     by_v: dict[int, set] = {}
     for h in res.hits:
-        by_v.setdefault(h.V, set()).add(h.weights)
+        by_v.setdefault(h.V, set()).add(h.n)
     ok = True
     for V in range(1, 201):
         expected = {

@@ -182,6 +182,12 @@ def test_family_scan_violation_exit(capsys, monkeypatch):
     assert code == 1 and json.loads(out)["violations"] == [violation]
 
 
+def test_family_scan_refuses_empty_range(capsys):
+    for vmax in ("-3", "0"):
+        code, out, err = run(capsys, "family-scan", "--vmax", vmax)
+        assert code == 2 and out == "" and "v_max must be >= 1" in err
+
+
 def test_family_scan_full_range(capsys):
     # all 46 rows, both sign resolutions, every apex, V <= 300
     code, out, _ = run(capsys, "family-scan", "--vmax", "300")
@@ -200,6 +206,14 @@ def test_width_triangle(capsys):
     assert code == 0
     assert sorted(f["width"] for f in doc["facets"]) == [2, 2, 2]
     assert doc["max_facet_width"] == 2 and doc["ell_L"] == "1"
+
+
+def test_width_without_finite_ell(capsys):
+    # the facet x + y = 2 holds both non-origin points: the widths stay
+    code, out, _ = run(capsys, "width", "--points", "[[0,0],[2,0],[0,2]]")
+    doc = json.loads(out)
+    assert code == 0 and doc["ell_L"] is None
+    assert [f["width"] for f in doc["facets"]] == [2, 2, 2]
 
 
 def test_width_bad_input(capsys):

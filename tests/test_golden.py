@@ -84,6 +84,10 @@ GOLDEN = [
      "49f9861adca54b756a4ee655a7a72b482c0d9b5a234acdd9dd386d992c8b35b8", 0),
     (("width", "--points", "[[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,1]]"),
      "6e7371c37d4688a5a56a68c94a25094187ef757e2b7d1a56735892c6302e0f63", 0),
+    # taken after `ell_L` returned None for a facet holding every non-origin
+    # point: the facets of the plain triangle with "ell_L": null
+    (("width", "--points", "[[0,0],[2,0],[0,2]]"),
+     "71e7519c65227cfdfb9bb2405e9f942c2cc14cd5cb0b43df5817c455a82635d0", 0),
 ]
 
 

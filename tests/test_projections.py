@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowups.projections import ProjectedConfig, ell_L, facet_width, facets
 
@@ -31,6 +34,8 @@ def test_config_refuses_non_integers():
         ProjectedConfig(((0, 0), (2.5, 0), (0, 2)))
     with pytest.raises(TypeError):
         ProjectedConfig(((0,), (F(3, 2),)))
+    with pytest.raises(TypeError):
+        ProjectedConfig(((0,), (1,)), 1.0)  # once accepted, then ell_L failed
 
 
 def test_segment_facets_and_widths():
@@ -60,9 +65,9 @@ def test_triangle_ell():
 
 
 def test_ell_precondition_violated():
-    # every non-origin point lies on the facet x+y=2
-    with pytest.raises(ValueError):
-        ell_L(TRIANGLE3)
+    # every non-origin point lies on the facet x+y=2: the min over an empty
+    # set is +infinity, so there is no finite bound
+    assert ell_L(TRIANGLE3) is None
 
 
 def test_ell_interior_origin():
@@ -120,3 +125,97 @@ def test_facets_deterministic_order():
     a = [(f.normal, f.offset, f.incident) for f in facets(TRIANGLE5)]
     b = [(f.normal, f.offset, f.incident) for f in facets(TRIANGLE5)]
     assert a == b == sorted(a)
+
+
+# ------------------------------------------- the elimination-based reference
+
+
+def _affine_rank(pts) -> int:
+    """Rank of the differences to the first point, by Fraction elimination."""
+    rows = [[F(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_facets(pts, k):
+    """(normal, offset, incident) of every facet: each candidate normal from a
+    k-subset, at both extremes, kept when the points on it have rank k - 1."""
+    normals = set()
+    for sub in itertools.combinations(sorted(set(pts)), k):
+        if k == 1:
+            n = (1,)
+        elif k == 2:
+            n = (sub[1][1] - sub[0][1], sub[0][0] - sub[1][0])
+        else:
+            u = [a - b for a, b in zip(sub[1], sub[0])]
+            v = [a - b for a, b in zip(sub[2], sub[0])]
+            n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+        if any(n):
+            g = gcd(*n)
+            normals.add(tuple(c // g for c in n))
+    found = set()
+    for f in normals:
+        for normal in (f, tuple(-c for c in f)):
+            values = [sum(a * b for a, b in zip(normal, p)) for p in pts]
+            offset = max(values)
+            incident = tuple(i for i, v in enumerate(values) if v == offset)
+            if _affine_rank([pts[i] for i in incident]) == k - 1:
+                found.add((normal, offset, incident))
+    return sorted(found)
+
+
+def _reference_ell(pts, origin, facet_list):
+    """The distance-ratio bound; ValueError where a facet has no finite ratio."""
+    best = F(0)
+    for normal, offset, _ in facet_list:
+        dist = [offset - sum(a * b for a, b in zip(normal, p)) for p in pts]
+        if dist[origin] == 0:
+            continue
+        ratios = [F(dist[origin], d) for i, d in enumerate(dist) if i != origin and d]
+        if not ratios:
+            raise ValueError("the distance ratio is undefined")
+        best = max(best, min(ratios))
+    return best
+
+
+@st.composite
+def configurations(draw):
+    k = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-5, 5)] * k)
+    pts = tuple(draw(st.lists(point, min_size=1, max_size=7)))
+    return pts, k, draw(st.integers(0, len(pts) - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(configurations())
+def test_facets_match_elimination_reference(data):
+    pts, k, origin = data
+    valid = _affine_rank(pts) == k
+    try:
+        cfg = ProjectedConfig(pts, origin)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    expected = _reference_facets(pts, k)
+    got = facets(cfg)
+    assert [(f.normal, f.offset, f.incident) for f in got] == expected
+    for f in got:
+        values = [sum(a * b for a, b in zip(f.normal, p)) for p in pts]
+        assert facet_width(cfg, f) == max(values) - min(values)
+    try:
+        expected_ell = _reference_ell(pts, origin, expected)
+    except ValueError:
+        expected_ell = None  # no finite bound
+    assert ell_L(cfg) == expected_ell

@@ -109,7 +109,7 @@ def _all_partitions(d, V):
 def test_census_kawakita_structure():
     res = run_census(CensusQuery(d=3, v_max=60))
     for h in res.hits:
-        a, b, c = h.weights
+        a, b, c = h.n
         assert a == 1 and gcd(b, c) == 1 and b + c == h.V
 
 
@@ -128,7 +128,7 @@ def test_census_min_weight_filter():
 
 def test_census_unique_maximizer_at_245():
     res = run_census(CensusQuery(d=4, v_max=245, v_min=245, min_weight=32))
-    assert [(h.weights, h.n_min) for h in res.hits] == [((32, 41, 71, 102), 32)]
+    assert [(h.n, h.n_min) for h in res.hits] == [((32, 41, 71, 102), 32)]
 
 
 def test_census_deterministic_across_workers():
@@ -152,7 +152,7 @@ def test_census_submits_largest_index_first(monkeypatch):
     monkeypatch.setattr(search, "_census_block", recording_block)
     got = run_census(CensusQuery(d=3, v_max=20, v_min=5))
     assert seen == list(range(20, 4, -1))
-    keys = [(h.V, h.weights) for h in got.hits]
+    keys = [(h.V, h.n) for h in got.hits]
     assert keys == sorted(keys) and {V for V, _ in keys} == set(range(5, 21))
 
 
@@ -251,7 +251,7 @@ def _flags_from_brute(w, eps=F(1)):
 def test_census_agrees_with_brute_force_oracle(verdict, flag):
     for d, vmax in ((2, 40), (3, 40)):
         res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
-        got = {(h.V, h.weights) for h in res.hits}
+        got = {(h.V, h.n) for h in res.hits}
         expected = set()
         for V in range(1, vmax + 1):
             for w in enumerate_blowups(d, V):
@@ -263,7 +263,7 @@ def test_census_agrees_with_brute_force_oracle(verdict, flag):
 def test_census_eps_verdicts_match_classify():
     eps = F(1, 2)
     res = run_census(CensusQuery(d=3, v_max=14, eps=eps, verdict="eps-lt"))
-    got = {h.weights for h in res.hits}
+    got = {h.n for h in res.hits}
     expected = {
         w.n
         for V in range(1, 15)
