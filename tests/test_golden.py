@@ -88,6 +88,16 @@ GOLDEN = [
     # point: the facets of the plain triangle with "ell_L": null
     (("width", "--points", "[[0,0],[2,0],[0,2]]"),
      "71e7519c65227cfdfb9bb2405e9f942c2cc14cd5cb0b43df5817c455a82635d0", 0),
+    # taken while witnesses still stored their translate and point: V = 1
+    # (the enumeration listed only the three vertices), the p_i = 1 vector
+    # (1, V), and a census at eps < 1 that classifies many witnesses
+    (("classify", "--weights", "1,1"),
+     "a6b71e8daadd77978df66338684629a5f115d79e96a5e773c9eb16a4b9276f09", 0),
+    (("classify", "--weights", "1,300", "--epsilon", "1/3"),
+     "bb61013dbb2a5b5f8f4083f39998f26681bf1f81c6c458afa484e54d03ee8b79", 0),
+    (("census", "--threads", "1", "--dim", "2", "--vmax", "150",
+      "--epsilon", "3/4", "--verdict", "eps-lc"),
+     "918bcaf6d323df520dc4be9087766b7bfd8c1d9c86b6e360fb5dfd6e27146f56", 0),
 ]
 
 
