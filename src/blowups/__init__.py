@@ -38,7 +38,7 @@ from .families import (
     instantiate,
     quintuple_table,
 )
-from .projections import FacetData, ProjectedConfig, ell_L, facet_width, facets
+from .projections import FacetData, ProjectedConfig, ell_L
 from .search import (
     BudgetExceeded,
     CensusQuery,

@@ -71,8 +71,7 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
         if w.membership is MembershipClass.INTERIOR:
             witness = w
             break  # witnesses arrive in k order; the first interior one wins
-        if w.membership is MembershipClass.BOUNDARY_NONVERTEX and witness is None:
-            witness = w
+        witness = witness or w  # no vertex is listed, so w is on the boundary
     return SingularityClass(simplex.eps, witness)
 
 

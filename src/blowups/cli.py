@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
-from .exactgeom import WeightVector, checked_eps
+from .exactgeom import WeightVector, checked_eps, frac_point
 from .families import scan_families
 from .search import VERDICTS, BudgetExceeded, CensusQuery, run_census
 
@@ -52,11 +52,12 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _witness_json(w) -> dict:
+def _witness_json(w, n: WeightVector) -> dict:
+    # a witness of class k >= 1 is frac(k*p) itself: its translate is always 0
     return {
         "k": w.k,
-        "z": list(w.z),
-        "point": [str(c) for c in w.point],
+        "z": [0] * n.d,
+        "point": [str(c) for c in frac_point(n, w.k)],
         "class": w.membership.value,
     }
 
@@ -71,7 +72,7 @@ def cmd_classify(args) -> tuple[str, int]:
         "epsilon": str(eps),
         "eps_log_terminal": verdict.eps_log_terminal,
         "eps_log_canonical": verdict.eps_log_canonical,
-        "witness": _witness_json(verdict.witness) if verdict.witness else None,
+        "witness": _witness_json(verdict.witness, weights) if verdict.witness else None,
     }
     return _json(payload), 0
 
@@ -164,8 +165,6 @@ def cmd_width(args) -> tuple[str, int]:
     cfg = projections.ProjectedConfig(
         tuple(tuple(p) for p in raw), args.origin_index
     )
-    facet_list = projections.facets(cfg)
-    widths = [projections.facet_width(cfg, f) for f in facet_list]
     ell = projections.ell_L(cfg)
     payload = {
         "points": [list(p) for p in cfg.points],
@@ -175,11 +174,11 @@ def cmd_width(args) -> tuple[str, int]:
                 "normal": list(f.normal),
                 "offset": f.offset,
                 "incident": list(f.incident),
-                "width": w,
+                "width": f.width,
             }
-            for f, w in zip(facet_list, widths)
+            for f in cfg.facets
         ],
-        "max_facet_width": max(widths),
+        "max_facet_width": max(f.width for f in cfg.facets),
         "ell_L": None if ell is None else str(ell),
     }
     return _json(payload), 0

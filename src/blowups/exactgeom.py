@@ -10,13 +10,15 @@ and integer overflow cannot occur.  The central objects are:
 * the simplex obtained by shrinking the standard simplex
   Conv(0, e_1, ..., e_d) towards p by a factor eps in (0, 1].
 
-The module enumerates lattice points of Z^d + Z*p inside the shrunk simplex
-coset by coset (one candidate per residue class, O(V * d) steps at most: the
-axes are visited heaviest first with a running sum, and a class is dropped at
-its first negative coordinate or as soon as the sum overshoots), and
-provides an independent brute-force scan of the integer points of
-eps * Conv(e_1, ..., e_d, n) in the original coordinates; the affine change
-of coordinates mapping one picture to the other is `to_integer_lattice`.
+The module enumerates the non-vertex points of Z^d + Z*p inside the shrunk
+simplex coset by coset (one candidate per residue class, O(V * d) steps at
+most: the axes are visited heaviest first with a running sum, and a class is
+dropped at its first negative coordinate or as soon as the sum overshoots).
+Each such point is frac(k*p) for a class k >= 1, so a witness is k and its
+membership, and `frac_point` rebuilds the point.  It also provides an
+independent brute-force scan of the integer points of eps * Conv(e_1, ...,
+e_d, n) in the original coordinates; the affine change of coordinates
+mapping one picture to the other is `to_integer_lattice`.
 """
 
 from __future__ import annotations
@@ -120,33 +122,20 @@ class ShrunkSimplex:
         V = self.V
         return tuple(Fraction(v, V) for v in self.weights.n)
 
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Apex first, then the d axis vertices."""
-        p = self.p
-        apex = tuple((1 - self.eps) * pi for pi in p)
-        axis = [
-            tuple(apex[j] + (self.eps if j == i else 0) for j in range(self.d))
-            for i in range(self.d)
-        ]
-        return (apex, *axis)
-
 
 @dataclass(frozen=True)
 class LatticeWitness:
-    """A point k*p + z of the coset lattice, with its membership class.
+    """A non-vertex coset point of the simplex: its class k >= 1 and membership.
 
-    `z` is the integer translate applied to the fractional representative of
-    k*p in [0,1)^d, so `point` is congruent to k*p modulo Z^d.
+    The point is frac(k*p), with no integer translate; `frac_point` builds it.
     """
 
     k: int
-    z: tuple[int, ...]
-    point: tuple[Fraction, ...]
     membership: MembershipClass
 
 
 def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:
-    """Fractional parts of k*n/V: the canonical coset representative in [0,1)^d."""
+    """Fractional parts of k*n/V in [0,1)^d: the point of a witness of class k."""
     V = n.V
     if not 1 <= k <= V - 1:
         raise ValueError(f"k={k} outside [1, {V - 1}]")
@@ -176,7 +165,7 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
 
 
 def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
-    """All points of Z^d + Z*p in the closed simplex, with their classes.
+    """The classes k whose point lies in the closed simplex, in k order.
 
     Each axis window [(1-eps)*p_i, (1-eps)*p_i + eps] lies in [0, 1], as
     0 < p_i <= 1, so a point x = frac(k*p) + z has z_i in {0, 1}, and z_i = 1
@@ -185,7 +174,8 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
     (1-eps)*p + eps*e_i.  Its coordinates sum to 1 + (1-eps)/V and those of a
     point of class k to k/V mod 1, so it is a coset point only at k = 0 and
     eps = 1.  Hence class 0 gives the d+1 vertices at eps = 1 and nothing
-    otherwise, and each class k >= 1 has the one candidate frac(k*p).
+    otherwise, and each class k >= 1 has the one candidate frac(k*p).  A
+    vertex never decides a verdict, so the vertices are not listed.
 
     A candidate is outside exactly when some scaled coordinate ybar_i is
     negative or their sum exceeds a*V (eps = a/b).  The axes are visited in
@@ -193,20 +183,15 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
     its first overshoot; only the survivors, which are the witnesses, get
     their coordinates rebuilt in axis order and classified.  The sum never
     equals a*V for k >= 1: that needs b | a, so eps = 1 and s(k) = V, but the
-    residue sum s(k) is congruent to k mod V.  Witnesses come out ordered by
-    (k, z) with z lexicographic, which downstream code relies on; the cutoff
-    changes neither the order nor the classes.
+    residue sum s(k) is congruent to k mod V.  Witnesses come out in k order,
+    which downstream code relies on; the cutoff changes neither the order nor
+    the classes.
     """
     n = s.weights.n
-    V, d = s.V, s.d
+    V = s.V
     a, b = s.eps.numerator, s.eps.denominator
     scale = a * V
     out: list[LatticeWitness] = []
-    if a == b:
-        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
-        for z in [(0,) * d, *units]:
-            point = tuple(map(Fraction, z))
-            out.append(LatticeWitness(0, z, point, MembershipClass.VERTEX))
     heaviest_first = [(ni, (b - a) * ni) for ni in sorted(n, reverse=True)]
     for k in range(1, V):
         # y scaled by a*V: ybar_i = b*(k*n_i mod V) - (b-a)*n_i
@@ -219,7 +204,7 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
         else:
             ybar = [b * (k * ni % V) - (b - a) * ni for ni in n]
             cls = _barycentric_class([scale - total, *ybar], scale)
-            out.append(LatticeWitness(k, (0,) * d, frac_point(s.weights, k), cls))
+            out.append(LatticeWitness(k, cls))
     return out
 
 

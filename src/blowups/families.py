@@ -27,6 +27,7 @@ not generalised.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -136,6 +137,7 @@ def sign_choices(q: Quintuple) -> tuple[int, ...]:
 def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
     """Evaluate base + sign*V*nums/index; entries must come out integral."""
     q = get_quintuple(label)
+    V, sign = operator.index(V), operator.index(sign)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sign == -1 and q.index == 2:
@@ -266,7 +268,8 @@ def bound_subset(point, J, s: int) -> int | None:
     every weight off J vanishes), and s is returned; otherwise None.
     """
     coords = tuple(Fraction(v) for v in point)
-    J = sorted(set(J))
+    J = sorted(set(map(operator.index, J)))
+    s = operator.index(s)
     if not J or len(J) >= len(coords) or not all(1 <= j <= len(coords) for j in J):
         raise ValueError(f"J must be a proper nonempty subset of 1..{len(coords)}")
     if s < 1:

@@ -5,8 +5,9 @@ projection to Z^k with k <= 3, given explicitly as integer points with one
 index marked as the image of the origin.  A facet of the convex hull is a
 hyperplane through k affinely independent points with every point on one
 side, found by testing each k-subset in integers with its primitive normal.
+The facets are computed once, with the configuration, together with the
+width of each: the spread of the configuration along its normal.
 
-`facet_width` is the spread of the configuration along a facet normal;
 `ell_L` is the max over facets of the min over off-facet non-origin points of
 dist(facet, origin) / dist(facet, point), which caps the smallest weight of
 any blowup whose generating point projects outside the hull (None if that
@@ -17,17 +18,22 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 
 @dataclass(frozen=True)
 class ProjectedConfig:
-    """Multiset of integer points in Z^k (k <= 3) with a designated origin image."""
+    """Multiset of integer points in Z^k (k <= 3) with a designated origin image.
+
+    `facets` holds every facet-supporting hyperplane of the convex hull, with
+    outward normals, in (normal, offset) order.
+    """
 
     points: tuple[tuple[int, ...], ...]
     origin_index: int = 0
+    facets: tuple[FacetData, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = tuple(tuple(map(operator.index, p)) for p in self.points)
@@ -43,16 +49,22 @@ class ProjectedConfig:
         object.__setattr__(self, "origin_index", origin)
         if not 0 <= origin < len(pts):
             raise ValueError(f"origin index {origin} out of range")
-        # the points span Z^k iff some hyperplane through k of them misses one
-        if not any(
-            (f := _normal(sub)) and len({_dot(f, p) for p in pts}) > 1
-            for sub in itertools.combinations(sorted(set(pts)), k)
-        ):
+        found: dict[tuple[tuple[int, ...], int], FacetData] = {}
+        for sub in itertools.combinations(sorted(set(pts)), k):
+            f = _normal(sub)
+            if f is None:
+                continue
+            c = _dot(f, sub[0])
+            values = [_dot(f, p) for p in pts]
+            if min(values) == c:
+                f, c, values = tuple(-a for a in f), -c, [-v for v in values]
+            if max(values) == c:
+                incident = tuple(i for i, v in enumerate(values) if v == c)
+                found[f, c] = FacetData(f, c, incident, c - min(values))
+        object.__setattr__(self, "facets", tuple(found[key] for key in sorted(found)))
+        # the points span Z^k iff some facet leaves a point off its hyperplane
+        if not any(f.width for f in self.facets):
             raise ValueError("points do not affinely span the ambient space")
-
-    @property
-    def k(self) -> int:
-        return len(self.points[0])
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,14 @@ class FacetData:
 
     The primitive integer normal is oriented outward (normal . x <= offset for
     every configuration point); `incident` lists the indices of the points on
-    the hyperplane.
+    the hyperplane, and `width` is the spread of the configuration along the
+    normal.
     """
 
     normal: tuple[int, ...]
     offset: int
     incident: tuple[int, ...]
+    width: int
 
 
 def _dot(f, p) -> int:
@@ -92,29 +106,6 @@ def _normal(sub) -> tuple[int, ...] | None:
     return tuple(c // g for c in n) if g else None
 
 
-def facets(cfg: ProjectedConfig) -> list[FacetData]:
-    """All facet-supporting hyperplanes of the convex hull, outward normals."""
-    pts = cfg.points
-    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for sub in itertools.combinations(sorted(set(pts)), cfg.k):
-        f = _normal(sub)
-        if f is None:
-            continue
-        c = _dot(f, sub[0])
-        values = [_dot(f, p) for p in pts]
-        if min(values) == c:
-            f, c, values = tuple(-a for a in f), -c, [-v for v in values]
-        if max(values) == c:
-            found[f, c] = tuple(i for i, v in enumerate(values) if v == c)
-    return [FacetData(f, c, incident) for (f, c), incident in sorted(found.items())]
-
-
-def facet_width(cfg: ProjectedConfig, facet: FacetData) -> int:
-    """Spread of the configuration along the facet's primitive normal."""
-    values = [_dot(facet.normal, p) for p in cfg.points]
-    return max(values) - min(values)
-
-
 def ell_L(cfg: ProjectedConfig) -> Fraction | None:
     """Max over facets of the min distance ratio origin-to-facet / point-to-facet.
 
@@ -123,7 +114,7 @@ def ell_L(cfg: ProjectedConfig) -> Fraction | None:
     """
     s0 = cfg.points[cfg.origin_index]
     best = Fraction(0)
-    for facet in facets(cfg):
+    for facet in cfg.facets:
         d0 = facet.offset - _dot(facet.normal, s0)
         if d0 == 0:
             continue

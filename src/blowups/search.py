@@ -9,6 +9,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +39,9 @@ class CensusQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", checked_eps(self.eps))
+        for name in ("d", "v_min", "v_max", "budget", "min_weight"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, operator.index(value))
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if not 1 <= self.v_min <= self.v_max:

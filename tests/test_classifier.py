@@ -20,6 +20,7 @@ from blowups.exactgeom import (
     WeightVector,
     brute_force_lattice_points,
     classify_point,
+    frac_point,
 )
 from blowups.search import enumerate_blowups
 
@@ -47,7 +48,7 @@ def test_classify_non_kawakita_not_terminal():
 def test_classify_1_2_boundary_witness():
     v = classify(W(1, 2), 1)
     assert (v.eps_log_terminal, v.eps_log_canonical) == (False, True)
-    assert v.witness.point == (F(1, 2), F(0))
+    assert frac_point(W(1, 2), v.witness.k) == (F(1, 2), F(0))
     assert v.witness.membership is MembershipClass.BOUNDARY_NONVERTEX
 
 
@@ -77,7 +78,7 @@ def test_witness_reproduces_refutation():
         if v.witness is None:
             continue
         s = ShrunkSimplex(w, eps)
-        assert classify_point(v.witness.point, s) is v.witness.membership
+        assert classify_point(frac_point(w, v.witness.k), s) is v.witness.membership
         if not v.eps_log_canonical:
             assert v.witness.membership is MembershipClass.INTERIOR
 

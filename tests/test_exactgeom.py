@@ -64,23 +64,10 @@ def test_generating_point_identities():
     assert all(pi == F(ni, g.V) for pi, ni in zip(g.p, g.weights.n))
 
 
-def test_shrunk_simplex_eps_one_is_standard_simplex():
-    s = simplex((1, 2), 1)
-    apex, v1, v2 = s.vertices()
-    assert apex == (0, 0) and v1 == (1, 0) and v2 == (0, 1)
-
-
 def test_shrunk_simplex_rejects_bad_eps():
     for eps in (0, -1, F(3, 2), 2):
         with pytest.raises(ValueError):
             simplex((1, 2), eps)
-
-
-def test_shrunk_simplex_coordinate_ranges():
-    s = simplex((1, 1, 2, 2), F(1, 3))
-    lo = [(1 - s.eps) * pi for pi in s.p]
-    for v in s.vertices():
-        assert all(l <= c <= l + s.eps for l, c in zip(lo, v))
 
 
 # ---------------------------------------------------------------- frac_point
@@ -114,7 +101,7 @@ def test_frac_point_nonzero_in_range(w):
 
 def test_classify_point_apex_is_vertex():
     s = simplex((1, 2), F(1, 2))
-    apex = s.vertices()[0]
+    apex = tuple((1 - s.eps) * pi for pi in s.p)
     assert classify_point(apex, s) is MembershipClass.VERTEX
 
 
@@ -140,28 +127,24 @@ def test_classify_point_dimension_mismatch():
 
 def test_enumeration_example_1_2():
     got = lattice_points_in_shrunk_simplex(simplex((1, 2), 1))
-    nonvertex = [w for w in got if w.membership is not MembershipClass.VERTEX]
-    assert len(nonvertex) == 1
-    w = nonvertex[0]
-    assert (w.k, w.z, w.point) == (1, (0, 0), (F(1, 2), F(0)))
+    assert len(got) == 1
+    w = got[0]
+    assert w.k == 1 and frac_point(WeightVector((1, 2)), w.k) == (F(1, 2), F(0))
     assert w.membership is MembershipClass.BOUNDARY_NONVERTEX
-    assert not any(w.membership is MembershipClass.INTERIOR for w in got)
 
 
 def test_enumeration_example_1_1_1():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 1, 1), 1))
-    assert all(w.membership is MembershipClass.VERTEX for w in got)
+    # the simplex meets the coset lattice only in its vertices, which are not listed
+    assert lattice_points_in_shrunk_simplex(simplex((1, 1, 1), 1)) == []
 
 
 def test_enumeration_v1_has_no_nonzero_cosets():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 1), 1))
-    assert all(w.k == 0 for w in got)
+    assert lattice_points_in_shrunk_simplex(simplex((1, 1), 1)) == []
 
 
-def test_enumeration_order_is_k_then_lex_z():
-    got = lattice_points_in_shrunk_simplex(simplex((3, 4, 5), 1))
-    keys = [(w.k, w.z) for w in got]
-    assert keys == sorted(keys)
+def test_enumeration_order_is_k():
+    got = lattice_points_in_shrunk_simplex(simplex((7, 8, 8), 1))
+    assert [w.k for w in got] == [11, 14, 17, 20]
 
 
 @given(weight_vectors(max_index=25), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
@@ -169,23 +152,14 @@ def test_enumeration_order_is_k_then_lex_z():
 def test_coset_soundness_and_recheck(w, eps):
     s = ShrunkSimplex(w, eps)
     got = lattice_points_in_shrunk_simplex(s)
-    for wit in got:
-        kp = tuple(F(wit.k * ni, w.V) for ni in w.n)
-        assert all((c - r).denominator == 1 for c, r in zip(wit.point, kp))
-        assert classify_point(wit.point, s) is wit.membership
-    # one candidate per class: k >= 1 needs no translate, and class 0 gives
-    # exactly the d+1 vertices of the standard simplex at eps = 1
-    assert all(wit.z == (0,) * w.d for wit in got if wit.k >= 1)
+    points = [frac_point(w, wit.k) for wit in got]
+    for wit, x in zip(got, points):
+        assert classify_point(x, s) is wit.membership
+        assert wit.membership is not MembershipClass.VERTEX
     # no point of class k >= 1 lies on the facet opposite the apex, so the
     # running-sum cutoff of the enumeration can never meet its bound exactly
-    y_sums = [sum(wit.point) - (1 - eps) * sum(s.p) for wit in got if wit.k >= 1]
+    y_sums = [sum(x) - (1 - eps) * sum(s.p) for x in points]
     assert all(t != eps for t in y_sums)
-    zero = [wit for wit in got if wit.k == 0]
-    if eps == 1:
-        assert len(zero) == w.d + 1
-        assert all(wit.membership is MembershipClass.VERTEX for wit in zero)
-    else:
-        assert zero == []
 
 
 # ------------------------------------------- pruned loop against the full one
@@ -218,11 +192,22 @@ def _unpruned_lattice_points(s):
     return out
 
 
-def _fields(witnesses, V):
-    return [
-        (x.k, x.z, tuple(c.numerator * (V // c.denominator) for c in x.point), x.membership)
-        for x in witnesses
-    ]
+def _fields(witnesses, s):
+    """The witnesses in the reference's fields, with the vertex rows at eps = 1.
+
+    A witness of class k has translate 0 and V*point = (k*n_i mod V); the
+    enumeration no longer lists the d+1 vertices of class 0, so they are
+    added back as the reference emits them.
+    """
+    n, V, d = s.weights.n, s.V, s.d
+    out = []
+    if s.eps == 1:
+        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
+        for z in [(0,) * d, *units]:
+            out.append((0, z, tuple(V * zi for zi in z), MembershipClass.VERTEX))
+    for x in witnesses:
+        out.append((x.k, (0,) * d, tuple(x.k * ni % V for ni in n), x.membership))
+    return out
 
 
 PRUNE_EPSILONS = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]
@@ -249,7 +234,7 @@ def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
         for w in enumerate_blowups(d, V):
             for eps in PRUNE_EPSILONS:
                 s = ShrunkSimplex(w, eps)
-                got = _fields(lattice_points_in_shrunk_simplex(s), V)
+                got = _fields(lattice_points_in_shrunk_simplex(s), s)
                 assert got == _unpruned_lattice_points(s), (w.n, eps)
                 h.update(repr((w.n, str(eps), got)).encode())
     assert h.hexdigest() == PRUNE_DIGESTS[d, vmax]
@@ -276,7 +261,7 @@ def _epsilons(draw):
 @settings(max_examples=150, deadline=None)
 def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
     s = ShrunkSimplex(w, eps)
-    got = _fields(lattice_points_in_shrunk_simplex(s), w.V)
+    got = _fields(lattice_points_in_shrunk_simplex(s), s)
     assert got == _unpruned_lattice_points(s)
 
 
@@ -313,10 +298,6 @@ def test_brute_force_rejects_bad_eps():
 # -------------------------------------------------- oracle equivalence (small)
 
 
-def _class_multiset(witnesses):
-    return sorted(w.membership.value for w in witnesses)
-
-
 @pytest.mark.parametrize("d,vmax", [(2, 14), (3, 12), (4, 16), (5, 10)])
 @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4)])
 def test_oracle_equivalence_exhaustive(d, vmax, eps):
@@ -324,16 +305,23 @@ def test_oracle_equivalence_exhaustive(d, vmax, eps):
         for w in enumerate_blowups(d, V):
             s = ShrunkSimplex(w, eps)
             coset = lattice_points_in_shrunk_simplex(s)
-            brute = brute_force_lattice_points(w, eps)
-            assert _class_multiset(coset) == sorted(c.value for _, c in brute)
+            brute = {tuple(map(F, p)): c for p, c in brute_force_lattice_points(w, eps)}
+            # the vertices, which the enumeration does not list, are n and
+            # the e_i in these coordinates, and lattice points only at eps = 1
+            vertices = {p for p, c in brute.items() if c is MembershipClass.VERTEX}
+            units = [tuple(map(F, (int(j == i) for j in range(d)))) for i in range(d)]
+            assert vertices == ({tuple(map(F, w.n)), *units} if eps == 1 else set())
             # point-level correspondence through the coordinate change
-            mapped = {to_integer_lattice(wit.point, w): wit.membership for wit in coset}
-            assert mapped == {tuple(map(F, p)): c for p, c in brute}
+            mapped = {
+                to_integer_lattice(frac_point(w, wit.k), w): wit.membership
+                for wit in coset
+            }
+            assert len(mapped) == len(coset)
+            assert mapped == {p: c for p, c in brute.items() if p not in vertices}
 
 
 def test_exactness_everything_is_fraction():
     s = simplex((1, 1, 2, 2), F(2, 3))
-    for v in s.vertices():
-        assert all(isinstance(c, F) for c in v)
+    assert all(isinstance(c, F) for c in s.p)
     for wit in lattice_points_in_shrunk_simplex(s):
-        assert all(isinstance(c, F) for c in wit.point)
+        assert all(isinstance(c, F) for c in frac_point(s.weights, wit.k))

@@ -130,6 +130,14 @@ def test_instantiate_signs():
         instantiate("Q3", 0)
 
 
+def test_instantiate_refuses_non_integers():
+    # V = 3.0 or sign = 1.0 once gave the float row (3.0, 1.0, 0.0, 1.0, -2.0)
+    with pytest.raises(TypeError):
+        instantiate("N7", 3.0)
+    with pytest.raises(TypeError):
+        instantiate("N7", 3, 1.0)
+
+
 def test_instantiate_sum_is_zero_mod_v():
     for q in quintuple_table():
         for sign in sign_choices(q):
@@ -293,6 +301,14 @@ def test_bound_subset_rejections():
         bound_subset(p, {1, 2, 3, 4}, 3)
     with pytest.raises(ValueError):
         bound_subset(p, {1}, 0)
+
+
+def test_bound_subset_refuses_non_integers():
+    p = [F(15, 23), F(1, 23), F(-5, 23), F(-9, 23)]
+    with pytest.raises(TypeError):
+        bound_subset(p, {1, 4}, 1.5)  # once an AttributeError on the float sum
+    with pytest.raises(TypeError):
+        bound_subset(p, {1.0, 4}, 3)
 
 
 # ------------------------------------------------------------- ratio lemma

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowups.projections import ProjectedConfig, ell_L, facet_width, facets
+from blowups import cli, projections
+from blowups.projections import ProjectedConfig, ell_L
 
 F = Fraction
 
@@ -39,22 +41,22 @@ def test_config_refuses_non_integers():
 
 
 def test_segment_facets_and_widths():
-    fs = facets(SEGMENT)
+    fs = SEGMENT.facets
     assert {(f.normal, f.offset) for f in fs} == {((1,), 1), ((-1,), 0)}
-    assert all(facet_width(SEGMENT, f) == 1 for f in fs)
+    assert all(f.width == 1 for f in fs)
     assert ell_L(SEGMENT) == 1
 
 
 def test_triangle_facets():
-    fs = facets(TRIANGLE3)
+    fs = TRIANGLE3.facets
     assert {(f.normal, f.offset) for f in fs} == {
         ((-1, 0), 0), ((0, -1), 0), ((1, 1), 2),
     }
-    assert [facet_width(TRIANGLE3, f) for f in fs] == [2, 2, 2]
+    assert [f.width for f in fs] == [2, 2, 2]
 
 
 def test_triangle_incident_points_span():
-    for f in facets(TRIANGLE5):
+    for f in TRIANGLE5.facets:
         pts = [TRIANGLE5.points[i] for i in f.incident]
         assert len(set(pts)) >= 2  # a 1-face of a 2-polytope
 
@@ -81,7 +83,7 @@ def test_ell_origin_on_facet_contributes_zero():
     # origin at a vertex of [0, 1]: the facet through it is skipped; the
     # other facet sees the duplicated origin at distance 1
     cfg = ProjectedConfig(((0,), (1,), (0,), (0,)))
-    fs = facets(cfg)
+    fs = cfg.facets
     d0 = {f.offset - sum(a * b for a, b in zip(f.normal, (0,))) for f in fs}
     assert 0 in d0  # one facet passes through the origin image
     assert ell_L(cfg) == 1
@@ -89,13 +91,13 @@ def test_ell_origin_on_facet_contributes_zero():
 
 def test_three_dimensional_example():
     cfg = ProjectedConfig(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-    fs = facets(cfg)
+    fs = cfg.facets
     normals = {f.normal for f in fs}
     assert normals == {
         (-1, 0, 0), (0, -1, 0), (0, 0, -1),
         (1, 1, -1), (1, -1, 1), (-1, 1, 1),
     }
-    widths = {f.normal: facet_width(cfg, f) for f in fs}
+    widths = {f.normal: f.width for f in fs}
     assert widths[(-1, 0, 0)] == 1 and widths[(1, 1, -1)] == 2
     assert ell_L(cfg) == F(1, 2)
 
@@ -110,21 +112,35 @@ def test_unimodular_invariance_of_ell():
 
 def test_sublattice_scaling_of_widths():
     doubled = ProjectedConfig(tuple((2 * p[0], 2 * p[1]) for p in TRIANGLE5.points))
-    base = {f.normal: facet_width(TRIANGLE5, f) for f in facets(TRIANGLE5)}
-    scaled = {f.normal: facet_width(doubled, f) for f in facets(doubled)}
+    base = {f.normal: f.width for f in TRIANGLE5.facets}
+    scaled = {f.normal: f.width for f in doubled.facets}
     assert scaled == {k: 2 * v for k, v in base.items()}
 
 
 def test_ell_bounded_by_max_facet_width():
     for cfg in (SEGMENT, TRIANGLE5):
-        widths = [facet_width(cfg, f) for f in facets(cfg)]
+        widths = [f.width for f in cfg.facets]
         assert ell_L(cfg) <= max(widths)
 
 
 def test_facets_deterministic_order():
-    a = [(f.normal, f.offset, f.incident) for f in facets(TRIANGLE5)]
-    b = [(f.normal, f.offset, f.incident) for f in facets(TRIANGLE5)]
+    a = [(f.normal, f.offset, f.incident) for f in TRIANGLE5.facets]
+    rebuilt = ProjectedConfig(TRIANGLE5.points)
+    b = [(f.normal, f.offset, f.incident) for f in rebuilt.facets]
     assert a == b == sorted(a)
+    assert rebuilt == TRIANGLE5  # the facets take no part in equality
+
+
+def test_width_command_searches_the_subsets_once(monkeypatch, capsys):
+    # the spanning check, the facet list and ell_L share one search, so each
+    # k-subset of the distinct points gets at most one normal
+    calls = []
+    normal = projections._normal
+    monkeypatch.setattr(projections, "_normal", lambda sub: calls.append(sub) or normal(sub))
+    points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 0, 0]]
+    assert cli.main(["width", "--points", str(points)]) == 0
+    assert json.loads(capsys.readouterr().out)["ell_L"] == "1/2"
+    assert 0 < len(calls) <= comb(5, 3)
 
 
 # ------------------------------------------- the elimination-based reference
@@ -209,11 +225,11 @@ def test_facets_match_elimination_reference(data):
         return
     assert valid
     expected = _reference_facets(pts, k)
-    got = facets(cfg)
+    got = cfg.facets
     assert [(f.normal, f.offset, f.incident) for f in got] == expected
     for f in got:
         values = [sum(a * b for a, b in zip(f.normal, p)) for p in pts]
-        assert facet_width(cfg, f) == max(values) - min(values)
+        assert f.width == max(values) - min(values)
     try:
         expected_ell = _reference_ell(pts, origin, expected)
     except ValueError:

@@ -240,6 +240,14 @@ def test_census_query_validation():
         CensusQuery(d=3, v_max=5, eps=0.3, verdict="eps-lc")
 
 
+def test_census_query_refuses_non_integers():
+    # v_min = 2.5 once ran from 3 and echoed 2.5
+    for field in ("d", "v_min", "v_max", "budget", "min_weight"):
+        with pytest.raises(TypeError):
+            CensusQuery(**{"d": 4, "v_max": 10, field: 2.5})
+    assert CensusQuery(4, 10, min_weight=None).min_weight is None
+
+
 def _flags_from_brute(w, eps=F(1)):
     classes = [c for _, c in brute_force_lattice_points(w, eps)]
     canonical = MembershipClass.INTERIOR not in classes
