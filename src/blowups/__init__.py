@@ -18,7 +18,6 @@ from .exactgeom import (
     LatticeWitness,
     MembershipClass,
     OracleCapExceeded,
-    ShrunkSimplex,
     WeightVector,
     ZeroWeightError,
     brute_force_lattice_points,

@@ -27,9 +27,8 @@ from math import gcd
 from .exactgeom import (
     LatticeWitness,
     MembershipClass,
-    ShrunkSimplex,
     WeightVector,
-    ZeroWeightError,  # re-exported; WeightVector raises it
+    checked_eps,
     lattice_points_in_shrunk_simplex,
 )
 
@@ -65,14 +64,14 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
     interior point of smallest class k, or failing one the boundary point of
     smallest k.
     """
-    simplex = ShrunkSimplex(n, eps)
+    eps = checked_eps(eps)
     witness: LatticeWitness | None = None
-    for w in lattice_points_in_shrunk_simplex(simplex):
+    for w in lattice_points_in_shrunk_simplex(n, eps):
         if w.membership is MembershipClass.INTERIOR:
             witness = w
             break  # witnesses arrive in k order; the first interior one wins
         witness = witness or w  # no vertex is listed, so w is on the boundary
-    return SingularityClass(simplex.eps, witness)
+    return SingularityClass(eps, witness)
 
 
 def _reid_tai(n: WeightVector, canonical: bool) -> bool:

@@ -226,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verdict", default="terminal", choices=VERDICTS)
     p.add_argument("--min-weight", type=int, default=None)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=CensusQuery.budget)
+    p.add_argument("--budget", type=int, default=CensusQuery.budget,
+                   help="most residue steps, candidates x dim x vmax (default 10^11)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = command("family", cmd_family, "instantiate one family row (or query its bound)")

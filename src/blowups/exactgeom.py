@@ -2,13 +2,12 @@
 
 Everything here is computed over exact rationals (`fractions.Fraction` on top
 of Python's arbitrary-precision integers), so membership predicates are exact
-and integer overflow cannot occur.  The central objects are:
-
-* a primitive weight vector n with index V = sum(n) - 1,
-* its generating point p = n/V, which generates the cyclic lattice
-  Z^d + Z*p of order V over Z^d,
-* the simplex obtained by shrinking the standard simplex
-  Conv(0, e_1, ..., e_d) towards p by a factor eps in (0, 1].
+and integer overflow cannot occur.  A primitive weight vector n with index
+V = sum(n) - 1 and a rational eps in (0, 1] fix the geometry, so every
+membership function takes the pair (n, eps).  The generating point p = n/V
+generates the cyclic lattice Z^d + Z*p of order V over Z^d, and the simplex
+is Conv(0, e_1, ..., e_d) shrunk towards p by eps, with vertices (1-eps)*p
+and p + eps*(e_i - p).
 
 The module enumerates the non-vertex points of Z^d + Z*p inside the shrunk
 simplex coset by coset (one candidate per residue class, O(V * d) steps at
@@ -95,35 +94,6 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class ShrunkSimplex:
-    """The standard simplex shrunk towards p = n/V by a rational factor eps.
-
-    p generates the cyclic lattice Z^d + Z*p of order V over Z^d.  Vertices:
-    the apex (1-eps)*p and, per axis i, p + eps*(e_i - p).  eps = 1
-    reproduces the standard simplex Conv(0, e_1, ..., e_d).
-    """
-
-    weights: WeightVector
-    eps: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", checked_eps(self.eps))
-
-    @property
-    def d(self) -> int:
-        return self.weights.d
-
-    @property
-    def V(self) -> int:
-        return self.weights.V
-
-    @property
-    def p(self) -> tuple[Fraction, ...]:
-        V = self.V
-        return tuple(Fraction(v, V) for v in self.weights.n)
-
-
-@dataclass(frozen=True)
 class LatticeWitness:
     """A non-vertex coset point of the simplex: its class k >= 1 and membership.
 
@@ -142,15 +112,16 @@ def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((k * v) % V, V) for v in n.n)
 
 
-def classify_point(x: Sequence[Fraction | int], s: ShrunkSimplex) -> MembershipClass:
-    """Classify x against s using exact barycentric coordinates."""
-    if len(x) != s.d:
-        raise ValueError(f"point has dimension {len(x)}, simplex has {s.d}")
-    e = s.eps
-    p = s.p
-    y = [(Fraction(xi) - (1 - e) * pi) / e for xi, pi in zip(x, p)]
-    coords = [1 - sum(y), *y]
-    return _barycentric_class(coords, 1)
+def classify_point(
+    x: Sequence[Fraction | int], n: WeightVector, eps: Fraction | int = 1
+) -> MembershipClass:
+    """Classify x against the simplex of (n, eps) by exact barycentric coordinates."""
+    eps = checked_eps(eps)
+    if len(x) != n.d:
+        raise ValueError(f"point has dimension {len(x)}, simplex has {n.d}")
+    V = n.V
+    y = [(Fraction(xi) - (1 - eps) * ni / V) / eps for xi, ni in zip(x, n.n)]
+    return _barycentric_class([1 - sum(y), *y], 1)
 
 
 def _barycentric_class(coords: Sequence, total) -> MembershipClass:
@@ -164,8 +135,10 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
-def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
-    """The classes k whose point lies in the closed simplex, in k order.
+def lattice_points_in_shrunk_simplex(
+    n: WeightVector, eps: Fraction | int = 1
+) -> list[LatticeWitness]:
+    """The classes k whose point lies in the closed simplex of (n, eps), in k order.
 
     Each axis window [(1-eps)*p_i, (1-eps)*p_i + eps] lies in [0, 1], as
     0 < p_i <= 1, so a point x = frac(k*p) + z has z_i in {0, 1}, and z_i = 1
@@ -180,31 +153,34 @@ def lattice_points_in_shrunk_simplex(s: ShrunkSimplex) -> list[LatticeWitness]:
     A candidate is outside exactly when some scaled coordinate ybar_i is
     negative or their sum exceeds a*V (eps = a/b).  The axes are visited in
     descending order of weight with a running sum, so a class is rejected at
-    its first overshoot; only the survivors, which are the witnesses, get
-    their coordinates rebuilt in axis order and classified.  The sum never
-    equals a*V for k >= 1: that needs b | a, so eps = 1 and s(k) = V, but the
-    residue sum s(k) is congruent to k mod V.  Witnesses come out in k order,
-    which downstream code relies on; the cutoff changes neither the order nor
-    the classes.
+    its first overshoot, and a survivor is classified in the same pass.  Its
+    apex coordinate a*V - sum is positive: the sum equals a*V only if b | a,
+    so eps = 1 and s(k) = V, but s(k) is congruent to k mod V.  Nor is
+    every ybar_i zero: that needs b | n_i for all i, so b = 1 and V | k.  So a
+    survivor is no vertex, and it is interior exactly when no ybar_i is zero.
+    Witnesses come out in k order, which downstream code relies on; the
+    cutoff changes neither the order nor the classes.
     """
-    n = s.weights.n
-    V = s.V
-    a, b = s.eps.numerator, s.eps.denominator
+    eps = checked_eps(eps)
+    V = n.V
+    a, b = eps.numerator, eps.denominator
     scale = a * V
     out: list[LatticeWitness] = []
-    heaviest_first = [(ni, (b - a) * ni) for ni in sorted(n, reverse=True)]
+    heaviest_first = [(ni, (b - a) * ni) for ni in sorted(n.n, reverse=True)]
     for k in range(1, V):
         # y scaled by a*V: ybar_i = b*(k*n_i mod V) - (b-a)*n_i
         total = 0
+        on_facet = False
         for ni, si in heaviest_first:
             y = b * (k * ni % V) - si
             total += y
             if y < 0 or total > scale:
                 break
+            if not y:
+                on_facet = True
         else:
-            ybar = [b * (k * ni % V) - (b - a) * ni for ni in n]
-            cls = _barycentric_class([scale - total, *ybar], scale)
-            out.append(LatticeWitness(k, cls))
+            M = MembershipClass
+            out.append(LatticeWitness(k, M.BOUNDARY_NONVERTEX if on_facet else M.INTERIOR))
     return out
 
 

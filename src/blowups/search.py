@@ -24,7 +24,7 @@ VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
 
 class BudgetExceeded(RuntimeError):
-    """Projected candidate count is above the census budget."""
+    """Projected residue steps are above the census budget."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class CensusQuery:
     eps: Fraction = Fraction(1)
     verdict: str = "terminal"
     min_weight: int | None = None
-    budget: int = 10**8
+    budget: int = 10**11  # residue steps
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", checked_eps(self.eps))
@@ -190,19 +190,23 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     The hit list contains every passing vector meeting the min-weight filter,
     sorted by (V, lex).  Output is bit-identical for any worker count.
     """
+    # a candidate of index V costs at most d*V residue steps in either kernel
+    per_candidate = q.d * q.v_max
     # the exact count takes about min(d, j) * j additions, j = v_max + 1 - d;
     # above a million, a closed-form lower bound gets the chance to refuse first
     j = max(q.v_max + 1 - q.d, 0)
     if min(q.d, j) * j > 10**6:
         lower = _candidates_lower_bound(q)
-        if lower > q.budget:
+        if lower * per_candidate > q.budget:
             raise BudgetExceeded(
-                f"at least {lower} candidates exceed budget {q.budget}"
+                f"at least {lower} candidates, {lower * per_candidate} residue"
+                f" steps, exceed budget {q.budget}"
             )
     projected = projected_candidates(q)
-    if projected > q.budget:
+    if projected * per_candidate > q.budget:
         raise BudgetExceeded(
-            f"projected {projected} candidates exceed budget {q.budget}"
+            f"projected {projected} candidates, {projected * per_candidate}"
+            f" residue steps, exceed budget {q.budget}"
         )
     # largest index first: the heaviest task starts at once instead of last
     tasks = [(q, V) for V in range(q.v_max, _first_index(q) - 1, -1)]

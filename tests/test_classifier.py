@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from blowups.classifier import (
     SingularityClass,
-    ZeroWeightError,
     classify,
     is_canonical_fast,
     is_terminal_fast,
@@ -16,8 +15,8 @@ from blowups.classifier import (
 )
 from blowups.exactgeom import (
     MembershipClass,
-    ShrunkSimplex,
     WeightVector,
+    ZeroWeightError,
     brute_force_lattice_points,
     classify_point,
     frac_point,
@@ -77,8 +76,7 @@ def test_witness_reproduces_refutation():
         v = classify(w, eps)
         if v.witness is None:
             continue
-        s = ShrunkSimplex(w, eps)
-        assert classify_point(frac_point(w, v.witness.k), s) is v.witness.membership
+        assert classify_point(frac_point(w, v.witness.k), w, eps) is v.witness.membership
         if not v.eps_log_canonical:
             assert v.witness.membership is MembershipClass.INTERIOR
 

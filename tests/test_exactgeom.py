@@ -11,7 +11,6 @@ from blowups.exactgeom import (
     ORACLE_CAP,
     MembershipClass,
     OracleCapExceeded,
-    ShrunkSimplex,
     WeightVector,
     ZeroWeightError,
     _barycentric_class,
@@ -26,10 +25,6 @@ from blowups.search import enumerate_blowups
 from conftest import weight_vectors
 
 F = Fraction
-
-
-def simplex(n, eps=1):
-    return ShrunkSimplex(WeightVector(n), F(eps))
 
 
 # ---------------------------------------------------------------- types
@@ -58,16 +53,17 @@ def test_weight_vector_refuses_non_integers():
             WeightVector(bad)
 
 
-def test_generating_point_identities():
-    g = ShrunkSimplex(WeightVector((1, 1, 2, 2)))
-    assert sum(g.p) == 1 + F(1, g.V)
-    assert all(pi == F(ni, g.V) for pi, ni in zip(g.p, g.weights.n))
-
-
-def test_shrunk_simplex_rejects_bad_eps():
+def test_membership_layer_rejects_bad_eps():
+    w = WeightVector((1, 2))
     for eps in (0, -1, F(3, 2), 2):
         with pytest.raises(ValueError):
-            simplex((1, 2), eps)
+            lattice_points_in_shrunk_simplex(w, eps)
+        with pytest.raises(ValueError):
+            classify_point((F(1, 2), 0), w, eps)
+    with pytest.raises(TypeError):
+        lattice_points_in_shrunk_simplex(w, 0.5)
+    with pytest.raises(TypeError):
+        classify_point((F(1, 2), 0), w, 0.5)
 
 
 # ---------------------------------------------------------------- frac_point
@@ -100,33 +96,32 @@ def test_frac_point_nonzero_in_range(w):
 
 
 def test_classify_point_apex_is_vertex():
-    s = simplex((1, 2), F(1, 2))
-    apex = tuple((1 - s.eps) * pi for pi in s.p)
-    assert classify_point(apex, s) is MembershipClass.VERTEX
+    w, eps = WeightVector((1, 2)), F(1, 2)
+    apex = tuple((1 - eps) * F(ni, w.V) for ni in w.n)
+    assert classify_point(apex, w, eps) is MembershipClass.VERTEX
 
 
 def test_classify_point_examples():
-    s1 = simplex((1, 2), 1)
-    assert classify_point((F(1, 2), 0), s1) is MembershipClass.BOUNDARY_NONVERTEX
-    s2 = simplex((1, 2), F(1, 2))
-    assert classify_point((F(1, 2), 1), s2) is MembershipClass.OUTSIDE
+    w = WeightVector((1, 2))
+    assert classify_point((F(1, 2), 0), w, 1) is MembershipClass.BOUNDARY_NONVERTEX
+    assert classify_point((F(1, 2), 1), w, F(1, 2)) is MembershipClass.OUTSIDE
 
 
 def test_classify_point_interior():
-    s = simplex((1, 2), 1)
-    assert classify_point((F(1, 4), F(1, 4)), s) is MembershipClass.INTERIOR
+    w = WeightVector((1, 2))
+    assert classify_point((F(1, 4), F(1, 4)), w, 1) is MembershipClass.INTERIOR
 
 
 def test_classify_point_dimension_mismatch():
     with pytest.raises(ValueError):
-        classify_point((F(1, 2),), simplex((1, 2), 1))
+        classify_point((F(1, 2),), WeightVector((1, 2)), 1)
 
 
 # ---------------------------------------------------------------- enumeration
 
 
 def test_enumeration_example_1_2():
-    got = lattice_points_in_shrunk_simplex(simplex((1, 2), 1))
+    got = lattice_points_in_shrunk_simplex(WeightVector((1, 2)), 1)
     assert len(got) == 1
     w = got[0]
     assert w.k == 1 and frac_point(WeightVector((1, 2)), w.k) == (F(1, 2), F(0))
@@ -135,37 +130,36 @@ def test_enumeration_example_1_2():
 
 def test_enumeration_example_1_1_1():
     # the simplex meets the coset lattice only in its vertices, which are not listed
-    assert lattice_points_in_shrunk_simplex(simplex((1, 1, 1), 1)) == []
+    assert lattice_points_in_shrunk_simplex(WeightVector((1, 1, 1)), 1) == []
 
 
 def test_enumeration_v1_has_no_nonzero_cosets():
-    assert lattice_points_in_shrunk_simplex(simplex((1, 1), 1)) == []
+    assert lattice_points_in_shrunk_simplex(WeightVector((1, 1)), 1) == []
 
 
 def test_enumeration_order_is_k():
-    got = lattice_points_in_shrunk_simplex(simplex((7, 8, 8), 1))
+    got = lattice_points_in_shrunk_simplex(WeightVector((7, 8, 8)), 1)
     assert [w.k for w in got] == [11, 14, 17, 20]
 
 
 @given(weight_vectors(max_index=25), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
 @settings(max_examples=120, deadline=None)
 def test_coset_soundness_and_recheck(w, eps):
-    s = ShrunkSimplex(w, eps)
-    got = lattice_points_in_shrunk_simplex(s)
+    got = lattice_points_in_shrunk_simplex(w, eps)
     points = [frac_point(w, wit.k) for wit in got]
     for wit, x in zip(got, points):
-        assert classify_point(x, s) is wit.membership
+        assert classify_point(x, w, eps) is wit.membership
         assert wit.membership is not MembershipClass.VERTEX
     # no point of class k >= 1 lies on the facet opposite the apex, so the
     # running-sum cutoff of the enumeration can never meet its bound exactly
-    y_sums = [sum(x) - (1 - eps) * sum(s.p) for x in points]
+    y_sums = [sum(x) - (1 - eps) * F(sum(w.n), w.V) for x in points]
     assert all(t != eps for t in y_sums)
 
 
 # ------------------------------------------- pruned loop against the full one
 
 
-def _unpruned_lattice_points(s):
+def _unpruned_lattice_points(w, eps):
     """The coset enumeration without the running-sum cutoff, as plain fields.
 
     Every class k >= 1 is tested in the original axis order, and whatever
@@ -173,8 +167,8 @@ def _unpruned_lattice_points(s):
     class): V*point is integral, so the points compare exactly without
     building a `Fraction` per coordinate.
     """
-    n, V, d = s.weights.n, s.V, s.d
-    a, b = s.eps.numerator, s.eps.denominator
+    n, V, d = w.n, w.V, w.d
+    a, b = eps.numerator, eps.denominator
     scale = a * V
     out = []
     if a == b:
@@ -192,16 +186,16 @@ def _unpruned_lattice_points(s):
     return out
 
 
-def _fields(witnesses, s):
+def _fields(witnesses, w, eps):
     """The witnesses in the reference's fields, with the vertex rows at eps = 1.
 
     A witness of class k has translate 0 and V*point = (k*n_i mod V); the
     enumeration no longer lists the d+1 vertices of class 0, so they are
     added back as the reference emits them.
     """
-    n, V, d = s.weights.n, s.V, s.d
+    n, V, d = w.n, w.V, w.d
     out = []
-    if s.eps == 1:
+    if eps == 1:
         units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
         for z in [(0,) * d, *units]:
             out.append((0, z, tuple(V * zi for zi in z), MembershipClass.VERTEX))
@@ -233,9 +227,8 @@ def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
             for eps in PRUNE_EPSILONS:
-                s = ShrunkSimplex(w, eps)
-                got = _fields(lattice_points_in_shrunk_simplex(s), s)
-                assert got == _unpruned_lattice_points(s), (w.n, eps)
+                got = _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps)
+                assert got == _unpruned_lattice_points(w, eps), (w.n, eps)
                 h.update(repr((w.n, str(eps), got)).encode())
     assert h.hexdigest() == PRUNE_DIGESTS[d, vmax]
 
@@ -260,9 +253,8 @@ def _epsilons(draw):
 @given(_large_index_vectors(), _epsilons())
 @settings(max_examples=150, deadline=None)
 def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
-    s = ShrunkSimplex(w, eps)
-    got = _fields(lattice_points_in_shrunk_simplex(s), s)
-    assert got == _unpruned_lattice_points(s)
+    got = _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps)
+    assert got == _unpruned_lattice_points(w, eps)
 
 
 # ---------------------------------------------------------------- brute force
@@ -303,8 +295,7 @@ def test_brute_force_rejects_bad_eps():
 def test_oracle_equivalence_exhaustive(d, vmax, eps):
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
-            s = ShrunkSimplex(w, eps)
-            coset = lattice_points_in_shrunk_simplex(s)
+            coset = lattice_points_in_shrunk_simplex(w, eps)
             brute = {tuple(map(F, p)): c for p, c in brute_force_lattice_points(w, eps)}
             # the vertices, which the enumeration does not list, are n and
             # the e_i in these coordinates, and lattice points only at eps = 1
@@ -321,7 +312,6 @@ def test_oracle_equivalence_exhaustive(d, vmax, eps):
 
 
 def test_exactness_everything_is_fraction():
-    s = simplex((1, 1, 2, 2), F(2, 3))
-    assert all(isinstance(c, F) for c in s.p)
-    for wit in lattice_points_in_shrunk_simplex(s):
-        assert all(isinstance(c, F) for c in frac_point(s.weights, wit.k))
+    w = WeightVector((1, 1, 2, 2))
+    for wit in lattice_points_in_shrunk_simplex(w, F(2, 3)):
+        assert all(isinstance(c, F) for c in frac_point(w, wit.k))

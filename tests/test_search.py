@@ -175,6 +175,25 @@ def test_census_budget_guard():
     assert str(projected_candidates(q)) in str(err.value)
 
 
+def test_census_budget_counts_residue_steps():
+    # two candidates, but each costs up to d * v_max residue steps
+    t = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="18000000 residue steps"):
+        run_census(CensusQuery(d=3000, v_max=3000, budget=10**7))
+    assert time.perf_counter() - t < 0.5
+    # the paper's d = 4 census to V = 419 stays inside the default budget
+    q = CensusQuery(d=4, v_max=419)
+    assert projected_candidates(q) * 4 * 419 <= q.budget == 10**11
+
+
+def test_census_of_two_huge_candidates_is_refused_at_default_budget():
+    # two candidates of 10**12 residue steps each would run for hours
+    t = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        run_census(CensusQuery(d=10**6, v_max=10**6))
+    assert time.perf_counter() - t < 0.5
+
+
 def test_census_huge_dimension_is_immediate():
     # no partition of V+1 <= 4 has 10**9 parts; the count must not loop to d
     t = time.perf_counter()
