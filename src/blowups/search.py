@@ -180,8 +180,15 @@ def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[W
 
 
 def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start: no more than asked, than tasks, or than CPUs."""
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+    """Worker processes to start: no more than asked, than tasks, or than CPUs.
+
+    The CPUs are those this process may run on, where the platform says, and
+    never more than `os.cpu_count()`.
+    """
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = min(cpus, len(os.sched_getaffinity(0)))
+    return max(1, min(workers, tasks, cpus))
 
 
 def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:

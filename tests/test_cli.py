@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowups.cli import main, parse_epsilon, parse_weights
+from blowups.search import CensusQuery, run_census
 
 
 def run(capsys, *argv):
@@ -101,6 +106,81 @@ def test_census_dimension_close_to_index(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["histogram"] == {"1": 1}
     assert doc["hits"] == [{"V": 1499, "weights": [1] * 1500, "n_min": 1}]
+
+
+def _census_reference(query: CensusQuery) -> str:
+    """The census JSON built the plain way: one dict per hit, `json.dumps`."""
+    result = run_census(query)
+    payload = {
+        "dim": query.d,
+        "v_min": query.v_min,
+        "v_max": query.v_max,
+        "epsilon": str(query.eps),
+        "verdict": query.verdict,
+        "min_weight": query.min_weight,
+        "histogram": {str(k): c for k, c in result.histogram.items()},
+        "total": result.histogram.total,
+        "hits": [
+            {"V": h.V, "weights": list(h.n), "n_min": h.n_min}
+            for h in result.hits
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _census_matches_reference(d, v_max, v_min=1, eps="1", verdict="terminal",
+                              min_weight=None) -> dict:
+    argv = ["census", "--threads", "1", "--dim", str(d), "--vmax", str(v_max),
+            "--vmin", str(v_min), "--epsilon", eps, "--verdict", verdict]
+    if min_weight is not None:
+        argv += ["--min-weight", str(min_weight)]
+    # not capsys: hypothesis runs many examples in one test call
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(argv)
+    out = buf.getvalue()
+    query = CensusQuery(d=d, v_max=v_max, v_min=v_min, eps=Fraction(eps),
+                        verdict=verdict, min_weight=min_weight)
+    assert code == 0 and out == _census_reference(query)
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(d=2, v_max=40),
+    dict(d=3, v_max=40),
+    dict(d=4, v_max=30),
+    dict(d=4, v_max=30, verdict="canonical"),
+    dict(d=3, v_max=30, eps="1/2", verdict="eps-lc"),
+    dict(d=3, v_max=30, eps="2/3", verdict="eps-lt"),
+    dict(d=4, v_max=20, eps="1/2", verdict="eps-lt"),
+    dict(d=4, v_max=20, eps="2/3", verdict="eps-lc"),
+    dict(d=4, v_max=40, v_min=25, verdict="canonical", min_weight=3),
+    dict(d=1500, v_max=1499),  # one hit of 1500 weights
+], ids=repr)
+def test_census_json_matches_json_dumps(kwargs):
+    doc = _census_matches_reference(**kwargs)
+    assert doc["hits"]
+
+
+def test_census_json_matches_json_dumps_edge_cases():
+    # histogram keys >= 10, which sort as strings before "2"
+    doc = _census_matches_reference(d=4, v_min=45, v_max=55, min_weight=9)
+    assert list(doc["histogram"])[:3] == ["1", "10", "11"]
+    assert {h["n_min"] for h in doc["hits"]} == {9, 10, 11}
+    # a threshold that empties the hit list but not the histogram
+    doc = _census_matches_reference(d=4, v_max=30, min_weight=100)
+    assert doc["hits"] == [] and doc["total"] > 0 and doc["min_weight"] == 100
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(1, 40),
+    st.integers(0, 15),
+    st.none() | st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_census_json_matches_json_dumps_sampled(d, v_min, span, min_weight):
+    _census_matches_reference(d, v_min + span, v_min=v_min,
+                              min_weight=min_weight)
 
 
 def test_census_budget_exit(capsys):

@@ -98,6 +98,13 @@ GOLDEN = [
     (("census", "--threads", "1", "--dim", "2", "--vmax", "150",
       "--epsilon", "3/4", "--verdict", "eps-lc"),
      "918bcaf6d323df520dc4be9087766b7bfd8c1d9c86b6e360fb5dfd6e27146f56", 0),
+    # taken while every census hit still went through `json.dumps`: an empty
+    # hit list under a non-null min_weight, and a census from --vmin 30
+    (("census", "--threads", "1", "--dim", "4", "--vmax", "40", "--min-weight", "100"),
+     "b282bcde0695b32e8d6e7543a821a126f9212a17bd5030332e29854b4d7dc3f2", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "30", "--vmax", "60",
+      "--min-weight", "5"),
+     "64ae416c91c52bfcbd58b8090e1e38785774b896a176f76aaced1535389a995f", 0),
 ]
 
 

@@ -168,6 +168,18 @@ def test_pool_size_clamp(monkeypatch):
     assert pool_size(8, 8) == 1
 
 
+def test_pool_size_capped_at_affinity(monkeypatch):
+    # a process allowed on one CPU of eight starts one worker
+    monkeypatch.setattr("blowups.search.os.cpu_count", lambda: 8)
+    monkeypatch.setattr("blowups.search.os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert pool_size(8, 100) == 1
+    # and an affinity set never raises the count above cpu_count
+    monkeypatch.setattr("blowups.search.os.sched_getaffinity",
+                        lambda pid: set(range(16)), raising=False)
+    assert pool_size(64, 100) == 8
+
+
 def test_census_budget_guard():
     q = CensusQuery(d=4, v_max=50, budget=100)
     with pytest.raises(BudgetExceeded) as err:
