@@ -105,6 +105,17 @@ GOLDEN = [
     (("census", "--threads", "1", "--dim", "4", "--vmin", "30", "--vmax", "60",
       "--min-weight", "5"),
      "64ae416c91c52bfcbd58b8090e1e38785774b896a176f76aaced1535389a995f", 0),
+    # taken while eps < 1 censuses still went through `classify`: a d = 4
+    # census in each eps verdict, and (1, 2, 2, 2), whose witness is the
+    # self-complementary class k = V/2 = 3
+    (("census", "--threads", "1", "--dim", "4", "--vmax", "30",
+      "--epsilon", "2/3", "--verdict", "eps-lt"),
+     "c8761d6798a680cfbfc4a1d791740756e7b51c0c61597f4cac04da1bd7787123", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmax", "30",
+      "--epsilon", "1/2", "--verdict", "eps-lc"),
+     "065effd1e1b7d60ae5585f5cadf6c0d3843710b923faddaef96a695fc465ece5", 0),
+    (("classify", "--weights", "1,2,2,2"),
+     "71386c903b38136be277f54deb9391faabd1ca6404bf9413f4859f5911302a1b", 0),
 ]
 
 
