@@ -2,20 +2,10 @@
 
 A blowup with positive primitive weights n is eps-log terminal exactly when
 the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
-(p = n/V), and eps-log canonical exactly when it is hollow.  `classify` runs
-the geometric test; `is_terminal_fast` and `is_canonical_fast` are eps = 1
-shortcuts on fractional-part sums (the Reid-Tai criterion) whose agreement
-with `classify` is enforced by the test suite before any caller is allowed to
-rely on them.  They are the same membership test at eps = 1: class k >= 1
-has the one candidate frac(k*p), with no integer translate, and its
-barycentric coordinates scaled by V are V - s(k) and the residues
-k*n_i mod V, where s(k) is their sum.
-
-The shortcuts visit only k in [1, V//2].  The residues of k and V-k are
-complementary (k*n_i mod V and (V-k)*n_i mod V add up to V unless both are
-0), so the residue sums satisfy s(k) + s(V-k) = (d - z(k))*V, where z(k)
-counts the zero residues, and one pass over the weights decides both k and
-V-k.
+(p = n/V), and eps-log canonical exactly when it is hollow.  `classify`
+reports a witness from the coset enumeration; `is_terminal_fast` and
+`is_canonical_fast` stop at the first class that decides the verdict.  All
+three stand on the residue pass `exactgeom.residue_classes`, at every eps.
 """
 
 from __future__ import annotations
@@ -25,11 +15,15 @@ from fractions import Fraction
 from math import gcd
 
 from .exactgeom import (
+    EPS_ONE,
+    INTERIOR,
+    OUTSIDE,
     LatticeWitness,
-    MembershipClass,
     WeightVector,
     checked_eps,
     lattice_points_in_shrunk_simplex,
+    place_class,
+    residue_classes,
 )
 
 
@@ -52,8 +46,7 @@ class SingularityClass:
 
     @property
     def eps_log_canonical(self) -> bool:
-        w = self.witness
-        return w is None or w.membership is not MembershipClass.INTERIOR
+        return self.witness is None or self.witness.membership is not INTERIOR
 
 
 def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
@@ -65,62 +58,36 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
     smallest k.
     """
     eps = checked_eps(eps)
-    witness: LatticeWitness | None = None
-    for w in lattice_points_in_shrunk_simplex(n, eps):
-        if w.membership is MembershipClass.INTERIOR:
-            witness = w
-            break  # witnesses arrive in k order; the first interior one wins
-        witness = witness or w  # no vertex is listed, so w is on the boundary
-    return SingularityClass(eps, witness)
+    witnesses = lattice_points_in_shrunk_simplex(n, eps)  # in k order, no vertex
+    interior = (w for w in witnesses if w.membership is INTERIOR)
+    return SingularityClass(eps, next(interior, witnesses[0] if witnesses else None))
 
 
-def _reid_tai(n: WeightVector, canonical: bool) -> bool:
-    """The eps = 1 residue loop of both fast paths, over k in [1, V//2].
+def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
+    """eps-log terminal: no class of the residue pass lies in the simplex.
 
-    s sums the nonzero residues k*n_i mod V and z counts the zero ones; k and
-    V-k are judged together, as z(V-k) = z(k) and s(V-k) = (d - z)*V - s.  At
-    even V, k = V/2 is its own complement and the identity gives s(V-k) = s.
+    At eps = 1 every class of the pass does, so this is the Reid-Tai test:
+    s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
     """
-    V = n.V
-    w = n.n
-    dV = len(w) * V
-    for k in range(1, V // 2 + 1):
-        s = z = 0
-        for ni in w:
-            r = k * ni % V
-            if r:
-                s += r
-            else:
-                z += 1
-        if canonical:
-            if not z and (s < V or dV - s < V):
+    if eps is EPS_ONE:
+        return next(residue_classes(n), None) is None
+    eps = checked_eps(eps)
+    return all(place_class(n, k, z, eps) is OUTSIDE for k, z in residue_classes(n))
+
+
+def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
+    """eps-log canonical: no class of the residue pass lies in the interior.
+
+    At eps = 1 that is a class with no zero residue; a zero one parks the
+    whole class on the boundary.
+    """
+    if eps is EPS_ONE:
+        for _, z in residue_classes(n):
+            if not z:
                 return False
-        elif s <= V or dV - z * V - s <= V:
-            return False
-    return True
-
-
-def is_terminal_fast(n: WeightVector) -> bool:
-    """Terminality via fractional-part sums: sum_i {k*n_i/V} > 1 for all k.
-
-    Integer form: s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
-    Only k <= V//2 is visited: s(V-k) = (d - z(k))*V - s(k), with z(k) the
-    number of residues that vanish, so each k also decides V-k.
-    """
-    return _reid_tai(n, canonical=False)
-
-
-def is_canonical_fast(n: WeightVector) -> bool:
-    """Canonicity shortcut at eps = 1.
-
-    A residue class k can only put a lattice point in the open simplex when
-    its fractional representative has all coordinates nonzero and coordinate
-    sum below 1; a zero coordinate parks the whole class on the boundary.
-    Hence: canonical iff for every k, some k*n_i vanishes mod V or
-    sum_i (k*n_i mod V) >= V.  Only k <= V//2 is visited: with no zero
-    residue, s(V-k) = d*V - s(k), so each k also decides V-k.
-    """
-    return _reid_tai(n, canonical=True)
+        return True
+    eps = checked_eps(eps)
+    return all(place_class(n, k, z, eps) is not INTERIOR for k, z in residue_classes(n))
 
 
 def kawakita_form(n: WeightVector) -> bool:

@@ -94,6 +94,8 @@ def _census_csv(result, d: int) -> str:
 
 
 def cmd_census(args) -> tuple[str, int]:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     query = CensusQuery(
         d=args.dim,
         v_min=args.vmin,

@@ -9,15 +9,12 @@ generates the cyclic lattice Z^d + Z*p of order V over Z^d, and the simplex
 is Conv(0, e_1, ..., e_d) shrunk towards p by eps, with vertices (1-eps)*p
 and p + eps*(e_i - p).
 
-The module enumerates the non-vertex points of Z^d + Z*p inside the shrunk
-simplex coset by coset (one candidate per residue class, O(V * d) steps at
-most: the axes are visited heaviest first with a running sum, and a class is
-dropped at its first negative coordinate or as soon as the sum overshoots).
-Each such point is frac(k*p) for a class k >= 1, so a witness is k and its
-membership, and `frac_point` rebuilds the point.  It also provides an
-independent brute-force scan of the integer points of eps * Conv(e_1, ...,
-e_d, n) in the original coordinates; the affine change of coordinates
-mapping one picture to the other is `to_integer_lattice`.
+The residue pass `residue_classes` yields the classes k >= 1 whose point
+frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
+a given eps; the fast kernels in `classifier` and the coset enumeration here
+stand on them.  A witness is a class k and its membership.  An independent
+brute-force scan of eps * Conv(e_1, ..., e_d, n) in the original coordinates
+checks them; `to_integer_lattice` maps one picture to the other.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
+EPS_ONE = Fraction(1)  # the kernels' default eps, known valid by identity
 
 
 class MembershipClass(Enum):
@@ -40,6 +38,11 @@ class MembershipClass(Enum):
     INTERIOR = "interior"
     BOUNDARY_NONVERTEX = "boundary"
     VERTEX = "vertex"
+
+
+# module names for three members, as an attribute lookup on an Enum class is slow
+OUTSIDE, INTERIOR = MembershipClass.OUTSIDE, MembershipClass.INTERIOR
+BOUNDARY = MembershipClass.BOUNDARY_NONVERTEX
 
 
 class OracleCapExceeded(RuntimeError):
@@ -135,53 +138,79 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
+def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
+    """The classes k in [1, V-1] with s(k) <= V, each with z(k): the residue pass.
+
+    s(k) = sum_i (k*n_i mod V) and z(k) counts the residues that vanish.  No
+    other class meets the simplex at any eps = a/b: the scaled coordinates
+    ybar_i = b*(k*n_i mod V) - (b-a)*n_i of frac(k*p) sum to b*s - (b-a)*(V+1),
+    so the apex inequality sum ybar_i <= a*V reads s <= V + (b-a)/b, and since
+    s is an integer, s(k) <= V.
+
+    Only k <= V//2 is visited: the residues of k and V-k add up to V unless
+    both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).  At even V
+    the class V/2 is its own complement and is yielded once.  Classes come in
+    pairs (k, V-k), not in k order.
+    """
+    w = n.n
+    V = sum(w) - 1
+    top = (len(w) - 1) * V  # s(V-k) <= V reads s(k) + z*V >= top
+    for k in range(1, V // 2 + 1):
+        s = z = 0
+        for ni in w:
+            r = k * ni % V
+            if r:
+                s += r
+            else:
+                z += 1
+        if s <= V:
+            yield k, z
+        if s + z * V >= top and k + k != V:
+            yield V - k, z
+
+
+def place_class(n: WeightVector, k: int, z: int, eps: Fraction) -> MembershipClass:
+    """Where the point frac(k*p) of a class from `residue_classes` lies at eps = a/b.
+
+    The apex coordinate a*V - sum ybar_i is positive: it is 0 only if b
+    divides b-a, so eps = 1 and s(k) = V, but s(k) is congruent to k mod V.
+    So the signs of the ybar_i decide.  At eps = 1 they are the residues;
+    below 1 a zero residue makes ybar_i = -(b-a)*n_i negative.  The point is
+    no vertex: every ybar_i = 0 needs b | n_i for all i, so b = 1 and V | k.
+    """
+    a, b = eps.numerator, eps.denominator
+    if a == b:
+        return BOUNDARY if z else INTERIOR
+    if z:
+        return OUTSIDE
+    V = n.V
+    on_facet = False
+    for ni in n.n:
+        y = b * (k * ni % V) - (b - a) * ni
+        if y < 0:
+            return OUTSIDE
+        if not y:
+            on_facet = True
+    return BOUNDARY if on_facet else INTERIOR
+
+
 def lattice_points_in_shrunk_simplex(
     n: WeightVector, eps: Fraction | int = 1
 ) -> list[LatticeWitness]:
     """The classes k whose point lies in the closed simplex of (n, eps), in k order.
 
     Each axis window [(1-eps)*p_i, (1-eps)*p_i + eps] lies in [0, 1], as
-    0 < p_i <= 1, so a point x = frac(k*p) + z has z_i in {0, 1}, and z_i = 1
-    needs frac_i = 0 and x_i = 1, the top of the window.  In y = (x -
-    (1-eps)*p)/eps that is y_i = 1, so every other y_j = 0 and x is the vertex
-    (1-eps)*p + eps*e_i.  Its coordinates sum to 1 + (1-eps)/V and those of a
-    point of class k to k/V mod 1, so it is a coset point only at k = 0 and
-    eps = 1.  Hence class 0 gives the d+1 vertices at eps = 1 and nothing
-    otherwise, and each class k >= 1 has the one candidate frac(k*p).  A
-    vertex never decides a verdict, so the vertices are not listed.
-
-    A candidate is outside exactly when some scaled coordinate ybar_i is
-    negative or their sum exceeds a*V (eps = a/b).  The axes are visited in
-    descending order of weight with a running sum, so a class is rejected at
-    its first overshoot, and a survivor is classified in the same pass.  Its
-    apex coordinate a*V - sum is positive: the sum equals a*V only if b | a,
-    so eps = 1 and s(k) = V, but s(k) is congruent to k mod V.  Nor is
-    every ybar_i zero: that needs b | n_i for all i, so b = 1 and V | k.  So a
-    survivor is no vertex, and it is interior exactly when no ybar_i is zero.
-    Witnesses come out in k order, which downstream code relies on; the
-    cutoff changes neither the order nor the classes.
+    0 < p_i <= 1, so a coset point x = frac(k*p) + t has t_i in {0, 1}, and
+    t_i = 1 puts x at the top of its window: y_i = 1 in y = (x - (1-eps)*p)/eps,
+    so every other y_j is 0 and x is the vertex (1-eps)*p + eps*e_i.  Its
+    coordinates sum to 1 + (1-eps)/V and those of a point of class k to k/V
+    mod 1, so that needs k = 0 and eps = 1.  Class 0 thus gives only the d+1
+    vertices, which decide no verdict and are not listed, and each class
+    k >= 1 has one candidate, frac(k*p), which the residue pass decides.
     """
     eps = checked_eps(eps)
-    V = n.V
-    a, b = eps.numerator, eps.denominator
-    scale = a * V
-    out: list[LatticeWitness] = []
-    heaviest_first = [(ni, (b - a) * ni) for ni in sorted(n.n, reverse=True)]
-    for k in range(1, V):
-        # y scaled by a*V: ybar_i = b*(k*n_i mod V) - (b-a)*n_i
-        total = 0
-        on_facet = False
-        for ni, si in heaviest_first:
-            y = b * (k * ni % V) - si
-            total += y
-            if y < 0 or total > scale:
-                break
-            if not y:
-                on_facet = True
-        else:
-            M = MembershipClass
-            out.append(LatticeWitness(k, M.BOUNDARY_NONVERTEX if on_facet else M.INTERIOR))
-    return out
+    placed = [(k, place_class(n, k, z, eps)) for k, z in residue_classes(n)]
+    return [LatticeWitness(k, m) for k, m in sorted(placed) if m is not OUTSIDE]
 
 
 def brute_force_lattice_points(

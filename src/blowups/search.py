@@ -14,10 +14,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd
 from typing import Callable, Iterator
 
-from .classifier import classify, is_canonical_fast, is_terminal_fast
+from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import WeightVector, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
@@ -157,12 +158,9 @@ def _candidates_lower_bound(q: CensusQuery) -> int:
 
 
 def _predicate(q: CensusQuery) -> Callable[[WeightVector], bool]:
-    want_terminal = q.verdict in ("terminal", "eps-lt")
-    if q.eps == 1:
-        return is_terminal_fast if want_terminal else is_canonical_fast
-    if want_terminal:
-        return lambda w: classify(w, q.eps).eps_log_terminal
-    return lambda w: classify(w, q.eps).eps_log_canonical
+    kernel = is_terminal_fast if q.verdict in ("terminal", "eps-lt") else is_canonical_fast
+    # called bare at eps = 1, the kernel keeps its default eps and skips the check
+    return kernel if q.eps == 1 else partial(kernel, eps=q.eps)
 
 
 def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[WeightVector]]:

@@ -24,6 +24,7 @@ from blowups.exactgeom import (
 from blowups.search import enumerate_blowups
 
 from conftest import weight_vectors
+from test_exactgeom import PRUNE_EPSILONS, _unpruned_lattice_points, _verdicts
 
 F = Fraction
 
@@ -179,6 +180,9 @@ def _canonical_full_range(w: WeightVector) -> bool:
     return True
 
 
+EPS_RANGES = ((2, 120), (3, 45), (4, 26), (5, 15))
+
+
 def test_fast_paths_match_full_range_reference():
     # the fast paths visit k <= V/2 only; odd and even V both occur, and at
     # even V the middle residue k = V/2 is its own complement
@@ -190,6 +194,17 @@ def test_fast_paths_match_full_range_reference():
                 assert is_terminal_fast(w) == _terminal_full_range(w), w.n
                 assert is_canonical_fast(w) == _canonical_full_range(w), w.n
     assert parities == {0, 1}
+    # every eps against the unpruned coset enumeration, on a smaller range;
+    # eps = 1 passed as a Fraction or an int gives the default's verdicts
+    for d, vmax in EPS_RANGES:
+        for V in range(1, vmax + 1):
+            for w in enumerate_blowups(d, V):
+                for eps in PRUNE_EPSILONS:
+                    got = (is_terminal_fast(w, eps), is_canonical_fast(w, eps))
+                    assert got == _verdicts(_unpruned_lattice_points(w, eps)), (w.n, eps)
+                    if eps == 1:
+                        assert got == (is_terminal_fast(w), is_canonical_fast(w))
+                        assert got == (is_terminal_fast(w, 1), is_canonical_fast(w, 1))
 
 
 @given(weight_vectors(max_d=5, max_index=200))

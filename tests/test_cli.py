@@ -193,6 +193,15 @@ def test_census_budget_exit(capsys):
     assert code == 2 and out == "" and "budget must be >= 0" in err
 
 
+def test_census_rejects_threads_below_one(capsys):
+    # once run silently on one worker; now bad input, refused before any work
+    for threads in ("0", "-3"):
+        code, out, err = run(capsys, "census", "--dim", "3", "--vmax", "5",
+                             "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
 def test_census_out_file(tmp_path, capsys):
     target = tmp_path / "census.json"
     code, out, _ = run(capsys, "census", "--dim", "2", "--vmax", "10",

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from blowups.classifier import is_canonical_fast, is_terminal_fast
 from blowups.exactgeom import (
     ORACLE_CAP,
     MembershipClass,
@@ -55,15 +56,18 @@ def test_weight_vector_refuses_non_integers():
 
 def test_membership_layer_rejects_bad_eps():
     w = WeightVector((1, 2))
-    for eps in (0, -1, F(3, 2), 2):
-        with pytest.raises(ValueError):
-            lattice_points_in_shrunk_simplex(w, eps)
-        with pytest.raises(ValueError):
-            classify_point((F(1, 2), 0), w, eps)
-    with pytest.raises(TypeError):
-        lattice_points_in_shrunk_simplex(w, 0.5)
-    with pytest.raises(TypeError):
-        classify_point((F(1, 2), 0), w, 0.5)
+    calls = (
+        lambda eps: lattice_points_in_shrunk_simplex(w, eps),
+        lambda eps: classify_point((F(1, 2), 0), w, eps),
+        lambda eps: is_terminal_fast(w, eps),
+        lambda eps: is_canonical_fast(w, eps),
+    )
+    for call in calls:
+        for eps in (0, -1, F(3, 2), 2):
+            with pytest.raises(ValueError):
+                call(eps)
+        with pytest.raises(TypeError):
+            call(0.5)
 
 
 # ---------------------------------------------------------------- frac_point
@@ -186,6 +190,15 @@ def _unpruned_lattice_points(w, eps):
     return out
 
 
+def _verdicts(rows):
+    """(terminal, canonical) read off rows of `_unpruned_lattice_points`.
+
+    Terminal means no row but the vertices, canonical no interior row.
+    """
+    classes = {row[-1] for row in rows}
+    return classes <= {MembershipClass.VERTEX}, MembershipClass.INTERIOR not in classes
+
+
 def _fields(witnesses, w, eps):
     """The witnesses in the reference's fields, with the vertex rows at eps = 1.
 
@@ -253,8 +266,10 @@ def _epsilons(draw):
 @given(_large_index_vectors(), _epsilons())
 @settings(max_examples=150, deadline=None)
 def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
-    got = _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps)
-    assert got == _unpruned_lattice_points(w, eps)
+    # the fast kernels share the residue pass, so they are checked here too
+    reference = _unpruned_lattice_points(w, eps)
+    assert _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps) == reference
+    assert (is_terminal_fast(w, eps), is_canonical_fast(w, eps)) == _verdicts(reference)
 
 
 # ---------------------------------------------------------------- brute force

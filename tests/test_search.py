@@ -300,16 +300,24 @@ def test_census_agrees_with_brute_force_oracle(verdict, flag):
 
 
 def test_census_eps_verdicts_match_classify():
-    eps = F(1, 2)
-    res = run_census(CensusQuery(d=3, v_max=14, eps=eps, verdict="eps-lt"))
-    got = {h.n for h in res.hits}
-    expected = {
-        w.n
-        for V in range(1, 15)
-        for w in enumerate_blowups(3, V)
-        if classify(w, eps).eps_log_terminal
-    }
-    assert got == expected
+    for eps in (F(1, 2), F(2, 3)):
+        for verdict, flag in (("eps-lt", "eps_log_terminal"), ("eps-lc", "eps_log_canonical")):
+            res = run_census(CensusQuery(d=3, v_max=14, eps=eps, verdict=verdict))
+            got = {h.n for h in res.hits}
+            expected = {
+                w.n
+                for V in range(1, 15)
+                for w in enumerate_blowups(3, V)
+                if getattr(classify(w, eps), flag)
+            }
+            assert got == expected, (eps, verdict)
+
+
+def test_census_eps_half_largest_smallest_weight():
+    # the eps = 1/2 row of the README's table: d = 3, V <= 60
+    for verdict, largest in (("eps-lc", 18), ("eps-lt", 17)):
+        res = run_census(CensusQuery(d=3, v_max=60, eps=F(1, 2), verdict=verdict))
+        assert max(res.histogram.counts) == largest, verdict
 
 
 def test_histogram_type():
