@@ -116,6 +116,15 @@ GOLDEN = [
      "065effd1e1b7d60ae5585f5cadf6c0d3843710b923faddaef96a695fc465ece5", 0),
     (("classify", "--weights", "1,2,2,2"),
      "71386c903b38136be277f54deb9391faabd1ca6404bf9413f4859f5911302a1b", 0),
+    # taken while every census candidate still went through the scalar
+    # residue pass: d = 5 censuses in both eps = 1 verdicts, and a band of
+    # large d = 4 indices
+    (("census", "--threads", "1", "--dim", "5", "--vmax", "30"),
+     "9b9ea4f936d7190d0aa17c85ff2c1fd0f961b439e754867d4fcddd64838fd0b3", 0),
+    (("census", "--threads", "1", "--dim", "5", "--vmax", "24", "--verdict", "canonical"),
+     "08ae97ebec297e7209aaffd778e96d5c19893f7bb023cb863649b79af94d76c6", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "120", "--vmax", "124"),
+     "a2fda96c1894b24a2b51a4a3d11720fb636f635ae2be7de152e7b9ed782a0965", 0),
 ]
 
 
