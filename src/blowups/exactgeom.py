@@ -12,20 +12,27 @@ and p + eps*(e_i - p).
 The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
-stand on them.  A witness is a class k and its membership.  An independent
-brute-force scan of eps * Conv(e_1, ..., e_d, n) in the original coordinates
-checks them; `to_integer_lattice` maps one picture to the other.
+stand on them.  The pass has two forms with the same classes.  The scalar
+one computes the residues of one vector.  The packed one, which the census
+enters per index at d >= 4 through `packed_residues`, keeps one integer per
+weight value holding all its residues in w-bit fields with 2^(w-1) > d*V,
+and tests every class of a vector with a few big-integer additions; the
+bound keeps the fields from carrying into each other.  A witness is a class
+k and its membership.  An independent brute-force scan of
+eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
+`to_integer_lattice` maps one picture to the other.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 EPS_ONE = Fraction(1)  # the kernels' default eps, known valid by identity
@@ -51,6 +58,10 @@ class OracleCapExceeded(RuntimeError):
 
 def checked_eps(eps: Fraction | int) -> Fraction:
     """eps as an exact Fraction, refused outside (0, 1] or as a binary float."""
+    if type(eps) is Fraction:  # reduced, with a positive denominator
+        if 0 < eps.numerator <= eps.denominator:
+            return eps
+        raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
     if isinstance(eps, float):
         raise TypeError(f"eps {eps!r} is a float; pass a Fraction, an int or 'p/q'")
     eps = Fraction(eps)
@@ -96,6 +107,13 @@ class WeightVector:
         return min(self.n)
 
 
+def _unchecked_weights(n: tuple[int, ...]) -> WeightVector:
+    """A `WeightVector` of a tuple of ints already known to pass `__post_init__`."""
+    w = object.__new__(WeightVector)
+    object.__setattr__(w, "n", n)
+    return w
+
+
 @dataclass(frozen=True)
 class LatticeWitness:
     """A non-vertex coset point of the simplex: its class k >= 1 and membership.
@@ -138,6 +156,54 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
+class PackedRows(dict):
+    """The residues of every weight value at one index V, packed one int a value.
+
+    The row of a value v holds k*v mod V for k = 1..V-1, field k-1 at bit
+    width*(k-1); it is built the first time v is looked up.  The width is
+    the least multiple of 4 with 2^(width-1) > d*V, so a row is read from hex
+    digits and the fields of the sum of up to d rows cannot carry into each
+    other (see `residue_classes`).
+    """
+
+    def __init__(self, d: int, V: int) -> None:
+        super().__init__()
+        self.d, self.V = d, V
+        self.width = width = ((d * V).bit_length() + 4) // 4 * 4
+        field = f"0{width // 4}x"
+        self._digits = [format(r, field) for r in range(V)]
+        # "0" + keeps int() defined at V = 1, where a row has no field
+        self.bias = int("0" + format((1 << width - 1) - 1 - V, field) * (V - 1), 16)
+        self.mask = int("0" + format(1 << width - 1, field) * (V - 1), 16)
+
+    def __missing__(self, v: int) -> int:
+        V, digits = self.V, self._digits
+        row = self[v] = int("0" + "".join([digits[k * v % V] for k in range(V - 1, 0, -1)]), 16)
+        return row
+
+
+# the rows `residue_classes` reads and their bound getter, which `map` calls
+# without building a method wrapper per vector; set by `packed_residues`
+_packed: tuple[PackedRows, Callable[[int], int]] | None = None
+
+
+@contextmanager
+def packed_residues(d: int, V: int) -> Iterator[PackedRows]:
+    """Run `residue_classes` on packed rows for vectors of index V and length <= d.
+
+    The census enters this for one index at d >= 4 and leaves it when the
+    index is done, also on an exception; the rows are dropped on exit.  The
+    rows are module state because the kernels keep their one-argument call.
+    """
+    global _packed
+    rows = PackedRows(d, V)
+    saved, _packed = _packed, (rows, rows.__getitem__)
+    try:
+        yield rows
+    finally:
+        _packed = saved
+
+
 def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
     """The classes k in [1, V-1] with s(k) <= V, each with z(k): the residue pass.
 
@@ -147,13 +213,39 @@ def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
     so the apex inequality sum ybar_i <= a*V reads s <= V + (b-a)/b, and since
     s is an integer, s(k) <= V.
 
-    Only k <= V//2 is visited: the residues of k and V-k add up to V unless
-    both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).  At even V
-    the class V/2 is its own complement and is yielded once.  Classes come in
-    pairs (k, V-k), not in k order.
+    The scalar pass visits only k <= V//2: the residues of k and V-k add up
+    to V unless both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).
+    At even V the class V/2 is its own complement and is yielded once.
+    Classes come in pairs (k, V-k), not in k order.
+
+    Inside `packed_residues(d, V)`, a vector of index V and at most d weights
+    takes the packed pass instead: the sum of its rows plus a bias of
+    2^(w-1) - 1 - V in each w-bit field holds s(k) + 2^(w-1) - 1 - V in field
+    k-1.  As 0 <= s(k) <= d*(V-1) and 2^(w-1) > d*V, each field lies in
+    [0, 2^w), so no field carries into the next, and its top bit is clear
+    exactly when s(k) <= V.  The classes come in k order, and z is counted
+    only for the classes yielded.  The census takes this pass at d >= 4,
+    where an index has about V^3/144 candidates against at most V^2 residues
+    in its rows; at d <= 3 building the rows costs more than it saves, and a
+    single call builds them for one vector only.
     """
     w = n.n
     V = sum(w) - 1
+    packed = _packed
+    if packed is not None and packed[0].V == V and len(w) <= packed[0].d:
+        rows, row = packed
+        free = rows.mask & ~sum(map(row, w), rows.bias)
+        width = rows.width
+        while free:
+            low = free & -free
+            k = low.bit_length() // width  # the top bit of field k-1 is bit width*k - 1
+            z = 0
+            for ni in w:
+                if not k * ni % V:
+                    z += 1
+            yield k, z
+            free ^= low
+        return
     top = (len(w) - 1) * V  # s(V-k) <= V reads s(k) + z*V >= top
     for k in range(1, V // 2 + 1):
         s = z = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -19,9 +20,12 @@ from math import comb, factorial, gcd
 from typing import Callable, Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
-from .exactgeom import WeightVector, checked_eps
+from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
+# the least dimension whose census indices take the packed residue pass; see
+# `exactgeom.residue_classes` for why the rows pay off only from d = 4
+PACKED_FROM_DIM = 4
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,8 +106,8 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
 
     ones = min(max(2 * d - V - 1, 0), d - 2)
     for tup in parts((1,) * ones, V + 1 - ones, d - ones, 1):
-        if gcd(*tup) == 1:
-            yield WeightVector(tup)
+        if gcd(*tup) == 1:  # positive and primitive: WeightVector has nothing to check
+            yield _unchecked_weights(tup)
 
 
 def _partition_row(j_max: int, parts: int) -> tuple[int, ...]:
@@ -168,12 +172,13 @@ def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[W
     passes = _predicate(q)
     counts: dict[int, int] = {}
     hits: list[WeightVector] = []
-    for w in enumerate_blowups(q.d, V):
-        if passes(w):
-            m = w.n_min
-            counts[m] = counts.get(m, 0) + 1
-            if q.min_weight is None or m >= q.min_weight:
-                hits.append(w)
+    with packed_residues(q.d, V) if q.d >= PACKED_FROM_DIM else nullcontext():
+        for w in enumerate_blowups(q.d, V):
+            if passes(w):
+                m = w.n_min
+                counts[m] = counts.get(m, 0) + 1
+                if q.min_weight is None or m >= q.min_weight:
+                    hits.append(w)
     return counts, hits
 
 

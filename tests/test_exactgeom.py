@@ -8,17 +8,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blowups.classifier import is_canonical_fast, is_terminal_fast
+from blowups import exactgeom
 from blowups.exactgeom import (
     ORACLE_CAP,
     MembershipClass,
     OracleCapExceeded,
+    PackedRows,
     WeightVector,
     ZeroWeightError,
     _barycentric_class,
     brute_force_lattice_points,
+    checked_eps,
     classify_point,
     frac_point,
     lattice_points_in_shrunk_simplex,
+    packed_residues,
+    residue_classes,
     to_integer_lattice,
 )
 from blowups.search import enumerate_blowups
@@ -63,11 +68,16 @@ def test_membership_layer_rejects_bad_eps():
         lambda eps: is_canonical_fast(w, eps),
     )
     for call in calls:
-        for eps in (0, -1, F(3, 2), 2):
+        for eps in (0, -1, F(3, 2), 2, F(0), F(-1, 2)):
             with pytest.raises(ValueError):
                 call(eps)
         with pytest.raises(TypeError):
             call(0.5)
+    # an exact Fraction is checked on its integers, with the general message
+    for eps in (F(0), F(3, 2), F(-1, 2)):
+        with pytest.raises(ValueError, match=rf"in \(0, 1\], got {eps}$"):
+            checked_eps(eps)
+    assert checked_eps(F(1)) == 1 and checked_eps(F(2, 3)) == F(2, 3)
 
 
 # ---------------------------------------------------------------- frac_point
@@ -270,6 +280,82 @@ def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
     reference = _unpruned_lattice_points(w, eps)
     assert _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps) == reference
     assert (is_terminal_fast(w, eps), is_canonical_fast(w, eps)) == _verdicts(reference)
+
+
+# ------------------------------------------ packed residue pass against scalar
+
+
+def _packed_classes(w, d=None):
+    """The packed pass on w, in a block of its own index for vectors of length <= d."""
+    with packed_residues(d or w.d, w.V) as rows:
+        got = list(residue_classes(w))
+        assert rows  # the packed pass ran and built the rows of w
+    return got
+
+
+def _check_packed_against_scalar(w):
+    scalar = sorted(residue_classes(w))
+    packed = _packed_classes(w)
+    assert packed == scalar, w.n  # the packed pass yields in k order
+    return scalar
+
+
+def _pass_and_verdicts(w):
+    """The sorted classes of w, and both kernels at every eps and at the default."""
+    return (
+        sorted(residue_classes(w)),
+        [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in PRUNE_EPSILONS],
+        (is_terminal_fast(w), is_canonical_fast(w)),
+    )
+
+
+@pytest.mark.parametrize("d,vmax", [(2, 60), (3, 36), (4, 26), (5, 18)])
+def test_packed_pass_matches_scalar_exhaustive(d, vmax):
+    for V in range(1, vmax + 1):
+        with packed_residues(d, V):
+            packed = {w.n: _pass_and_verdicts(w) for w in enumerate_blowups(d, V)}
+        for w in enumerate_blowups(d, V):
+            assert packed[w.n] == _pass_and_verdicts(w), w.n
+
+
+@given(_large_index_vectors(max_index=419))
+@settings(max_examples=150, deadline=None)
+def test_packed_pass_matches_scalar_sampled(w):
+    _check_packed_against_scalar(w)
+
+
+def test_packed_field_width_edges():
+    # d*V = 124 fits 8-bit fields, d*V = 128 needs 12 bits
+    for V in (31, 32):
+        for w in enumerate_blowups(4, V):
+            _check_packed_against_scalar(w)
+    assert [PackedRows(4, V).width for V in (31, 32)] == [8, 12]
+    # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do
+    assert [PackedRows(4, V).width for V in (8191, 8193)] == [16, 20]
+    for n in ((1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)):
+        _check_packed_against_scalar(WeightVector(n))
+    # the d = 2 vector (1, V), and V = 1
+    for V in (1, 2, 7, 64, 419):
+        assert len(_check_packed_against_scalar(WeightVector((1, V)))) == V - 1
+    # a vector shorter than the block's dimension fits its fields too
+    short = WeightVector((1, 1, 2))
+    assert _packed_classes(short, d=4) == sorted(residue_classes(short))
+
+
+def test_packed_state_is_dropped_and_scoped_to_its_index():
+    assert exactgeom._packed is None
+    other = WeightVector((1, 2, 3, 5))  # index 10
+    wide = WeightVector((1, 2, 3, 4, 21))  # index 30, more weights than the fields allow
+    scalar = [list(residue_classes(w)) for w in (other, wide)]
+    with packed_residues(4, 30) as rows:
+        assert [list(residue_classes(w)) for w in (other, wide)] == scalar
+        assert not rows  # neither vector took the packed pass
+    assert exactgeom._packed is None
+    with pytest.raises(RuntimeError):
+        with packed_residues(4, 30):
+            assert exactgeom._packed is not None
+            raise RuntimeError
+    assert exactgeom._packed is None
 
 
 # ---------------------------------------------------------------- brute force

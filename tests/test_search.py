@@ -7,9 +7,9 @@ from math import gcd
 
 import pytest
 
-from blowups import search
+from blowups import exactgeom, search
 from blowups.classifier import classify
-from blowups.exactgeom import MembershipClass, brute_force_lattice_points
+from blowups.exactgeom import MembershipClass, WeightVector, brute_force_lattice_points
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
@@ -51,6 +51,16 @@ def _naive_count(d, V):
         )
 
     return rec((), 1, V + 1, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_enumerated_vectors_equal_checked_construction(d):
+    # enumerate_blowups skips the checks of WeightVector, whose tuples pass them
+    for V in range(1, 25):
+        for w in enumerate_blowups(d, V):
+            checked = WeightVector(w.n)
+            assert type(w) is WeightVector and w == checked and hash(w) == hash(checked)
+            assert all(type(v) is int for v in w.n)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
@@ -154,6 +164,30 @@ def test_census_submits_largest_index_first(monkeypatch):
     assert seen == list(range(20, 4, -1))
     keys = [(h.V, h.n) for h in got.hits]
     assert keys == sorted(keys) and {V for V, _ in keys} == set(range(5, 21))
+
+
+@pytest.mark.parametrize("d,packed", [(3, False), (4, True), (5, True)])
+def test_census_block_packs_each_index_at_d4_and_up(monkeypatch, d, packed):
+    seen = []
+    kernel = search.is_terminal_fast
+
+    def recording_kernel(w):
+        state = exactgeom._packed
+        seen.append(state is not None and (state[0].d, state[0].V))
+        return kernel(w)
+
+    monkeypatch.setattr(search, "is_terminal_fast", recording_kernel)
+    search._census_block((CensusQuery(d=d, v_max=20), 20))
+    assert set(seen) == ({(d, 20)} if packed else {False})
+    assert exactgeom._packed is None
+
+    def failing_kernel(w):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(search, "is_terminal_fast", failing_kernel)
+    with pytest.raises(RuntimeError):
+        search._census_block((CensusQuery(d=d, v_max=20), 20))
+    assert exactgeom._packed is None
 
 
 def test_pool_size_clamp(monkeypatch):
