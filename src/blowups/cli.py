@@ -203,6 +203,10 @@ def cmd_width(args) -> tuple[str, int]:
 
 
 def cmd_sporadic(args) -> tuple[str, int]:
+    if args.fixtures and (args.input or args.strict):
+        # the fixtures are never read from a file, so the file and its parsing
+        # mode would be ignored; $BLOWUPS_SPORADIC_DATA is only a default
+        raise ValueError("--fixtures cannot be combined with --input or --strict")
     path = args.input or os.environ.get(DATASET_ENV)
     if path and not args.fixtures:
         records = sporadic.parse_dataset(path, strict=args.strict)

@@ -283,9 +283,10 @@ def check_ratio_lemma(label: str) -> bool:
 
     Rows passing this test only produce blowups with smallest weight at most
     6, whichever entry serves as apex.  N rows are evaluated on their base.
+    Every base row has q_1 > q_2 > 0 > q_3 >= q_4 >= q_5, so the bounds at
+    apex 3 and apex 2 are exactly -q_1/q_3 and -q_5/q_2.
     """
-    b = get_quintuple(label).base
-    return max(Fraction(-b[0], b[2]), Fraction(-b[4], b[1])) < 7
+    return max(bound_dim1(label, 3), bound_dim1(label, 2)) < 7
 
 
 def table_csv() -> str:

@@ -24,7 +24,10 @@ from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_res
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 # the least dimension whose census indices take the packed residue pass; see
-# `exactgeom.residue_classes` for why the rows pay off only from d = 4
+# `exactgeom.residue_classes` for why the rows pay off only from d = 4.  With
+# the pass forced lower (one worker, best of 3, three rounds, 2-CPU host,
+# Python 3.11): d = 2, V <= 400 took 1.34-1.69 s packed against 0.07-0.08 s
+# scalar, and d = 3, V <= 200 took 0.95-1.28 s against 0.96-1.14 s
 PACKED_FROM_DIM = 4
 
 

@@ -1,10 +1,16 @@
+"""Strategies and exact references shared by test modules, each defined once."""
+
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import assume, strategies as st
 
 from blowups import WeightVector
+from blowups.exactgeom import MembershipClass, _barycentric_class, brute_force_lattice_points
+
+F = Fraction
 
 
 @st.composite
@@ -18,4 +24,58 @@ def weight_vectors(draw, min_d=2, max_d=5, max_index=40):
     return WeightVector(vals)
 
 
-EPSILONS = ("1", "1/2", "1/3")
+PRUNE_EPSILONS = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]
+
+# the 18 rows whose base ratios reach 7, with the 19 proof-table entries
+RATIO_TABLE = {
+    ("Q2", 3): F(9), ("Q6", 2): F(8), ("Q7", 3): F(12), ("Q9", 3): F(12),
+    ("Q11", 3): F(15, 2), ("Q11", 2): F(9), ("Q15", 2): F(7),
+    ("Q16", 3): F(14), ("Q18", 2): F(8), ("Q19", 3): F(15),
+    ("Q20", 3): F(15, 2), ("Q21", 2): F(9), ("Q23", 3): F(18),
+    ("Q24", 2): F(10), ("Q25", 2): F(10), ("Q27", 3): F(20),
+    ("Q28", 2): F(12), ("Q29", 2): F(15), ("N5", 3): F(8),
+}
+
+
+def flags_from_brute(w: WeightVector, eps=1) -> tuple[bool, bool]:
+    """(terminal, canonical) from the integer points of the original simplex."""
+    classes = [c for _, c in brute_force_lattice_points(w, eps)]
+    canonical = MembershipClass.INTERIOR not in classes
+    terminal = canonical and MembershipClass.BOUNDARY_NONVERTEX not in classes
+    return terminal, canonical
+
+
+def _unpruned_lattice_points(w, eps):
+    """The coset enumeration without the running-sum cutoff, as plain fields.
+
+    Every class k >= 1 is tested in the original axis order, and whatever
+    passes the sign test is classified whole.  A witness is (k, z, V*point,
+    class): V*point is integral, so the points compare exactly without
+    building a `Fraction` per coordinate.
+    """
+    n, V, d = w.n, w.V, w.d
+    a, b = eps.numerator, eps.denominator
+    scale = a * V
+    out = []
+    if a == b:
+        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
+        for z in [(0,) * d, *units]:
+            out.append((0, z, tuple(V * zi for zi in z), MembershipClass.VERTEX))
+    for k in range(1, V):
+        residues = tuple(k * ni % V for ni in n)
+        ybar = [b * r - (b - a) * ni for r, ni in zip(residues, n)]
+        if min(ybar) < 0:
+            continue
+        cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
+        if cls is not MembershipClass.OUTSIDE:
+            out.append((k, (0,) * d, residues, cls))
+    return out
+
+
+def _verdicts(rows):
+    """(terminal, canonical) read off rows of `_unpruned_lattice_points`.
+
+    Terminal means no row but the vertices, canonical no interior row.
+    """
+    classes = {row[-1] for row in rows}
+    return classes <= {MembershipClass.VERTEX}, MembershipClass.INTERIOR not in classes

@@ -16,11 +16,7 @@ from math import floor, gcd
 from pathlib import Path
 
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
-from blowups.exactgeom import (
-    MembershipClass,
-    WeightVector,
-    brute_force_lattice_points,
-)
+from blowups.exactgeom import WeightVector
 from blowups.families import APICES, blowup_from_quintuple, bound_dim1, quintuple_table
 from blowups.search import CensusQuery, enumerate_blowups, run_census
 from blowups.sporadic import (
@@ -30,6 +26,8 @@ from blowups.sporadic import (
     record_from_weights,
     sporadic_report,
 )
+
+from conftest import RATIO_TABLE, flags_from_brute
 
 F = Fraction
 
@@ -121,16 +119,6 @@ def test_criterion_4_census_bound():
 
 # criterion 5 ----------------------------------------------------------------
 
-RATIO_TABLE = {
-    ("Q2", 3): F(9), ("Q6", 2): F(8), ("Q7", 3): F(12), ("Q9", 3): F(12),
-    ("Q11", 3): F(15, 2), ("Q11", 2): F(9), ("Q15", 2): F(7),
-    ("Q16", 3): F(14), ("Q18", 2): F(8), ("Q19", 3): F(15),
-    ("Q20", 3): F(15, 2), ("Q21", 2): F(9), ("Q23", 3): F(18),
-    ("Q24", 2): F(10), ("Q25", 2): F(10), ("Q27", 3): F(20),
-    ("Q28", 2): F(12), ("Q29", 2): F(15), ("N5", 3): F(8),
-}
-
-
 def test_criterion_5_family_scan_and_ratio_table():
     ok = True
     terminal_count = 0
@@ -218,13 +206,6 @@ def _random_weight_vector(rng: random.Random) -> WeightVector:
             return WeightVector(vals)
 
 
-def _flags_from_brute(w: WeightVector, eps) -> tuple[bool, bool]:
-    classes = [c for _, c in brute_force_lattice_points(w, eps)]
-    canonical = MembershipClass.INTERIOR not in classes
-    terminal = canonical and MembershipClass.BOUNDARY_NONVERTEX not in classes
-    return terminal, canonical
-
-
 def test_criterion_7_oracle_equivalence_randomized():
     rng = random.Random(20260810)
     ok = True
@@ -233,7 +214,7 @@ def test_criterion_7_oracle_equivalence_randomized():
         w = _random_weight_vector(rng)
         for eps in (F(1), F(1, 2), F(1, 3)):
             v = classify(w, eps)
-            if (v.eps_log_terminal, v.eps_log_canonical) != _flags_from_brute(w, eps):
+            if (v.eps_log_terminal, v.eps_log_canonical) != flags_from_brute(w, eps):
                 ok = False
             checked += 1
     _report(7, ok, f"coset classification agrees flag-for-flag with the "

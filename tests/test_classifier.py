@@ -17,14 +17,12 @@ from blowups.exactgeom import (
     MembershipClass,
     WeightVector,
     ZeroWeightError,
-    brute_force_lattice_points,
     classify_point,
     frac_point,
 )
 from blowups.search import enumerate_blowups
 
-from conftest import weight_vectors
-from test_exactgeom import PRUNE_EPSILONS, _unpruned_lattice_points, _verdicts
+from conftest import flags_from_brute, weight_vectors
 
 F = Fraction
 
@@ -162,49 +160,32 @@ def test_fast_geometric_agreement_exhaustive_small():
                 assert is_canonical_fast(w) == v.eps_log_canonical, w.n
 
 
-def _terminal_full_range(w: WeightVector) -> bool:
-    # the Reid-Tai test over every k in [1, V-1], as first written
+def _full_range_flags(w: WeightVector) -> tuple[bool, bool]:
+    # (terminal, canonical) by the Reid-Tai test over every k in [1, V-1], as
+    # first written; a class that refutes canonical refutes terminal too
     V = w.V
-    for k in range(1, V):
-        if sum((k * ni) % V for ni in w.n) <= V:
-            return False
-    return True
-
-
-def _canonical_full_range(w: WeightVector) -> bool:
-    V = w.V
+    terminal = True
     for k in range(1, V):
         res = [(k * ni) % V for ni in w.n]
-        if 0 not in res and sum(res) < V:
-            return False
-    return True
-
-
-EPS_RANGES = ((2, 120), (3, 45), (4, 26), (5, 15))
+        s = sum(res)
+        if s < V and 0 not in res:
+            return False, False
+        terminal = terminal and s > V
+    return terminal, True
 
 
 def test_fast_paths_match_full_range_reference():
     # the fast paths visit k <= V/2 only; odd and even V both occur, and at
-    # even V the middle residue k = V/2 is its own complement
+    # even V the middle residue k = V/2 is its own complement.  Every eps is
+    # checked against the unpruned coset enumeration by
+    # test_pruned_enumeration_matches_unpruned_exhaustive.
     parities = set()
     for d, vmax in ((2, 300), (3, 100), (4, 40), (5, 24)):
         for V in range(1, vmax + 1):
             for w in enumerate_blowups(d, V):
                 parities.add(V % 2)
-                assert is_terminal_fast(w) == _terminal_full_range(w), w.n
-                assert is_canonical_fast(w) == _canonical_full_range(w), w.n
+                assert (is_terminal_fast(w), is_canonical_fast(w)) == _full_range_flags(w), w.n
     assert parities == {0, 1}
-    # every eps against the unpruned coset enumeration, on a smaller range;
-    # eps = 1 passed as a Fraction or an int gives the default's verdicts
-    for d, vmax in EPS_RANGES:
-        for V in range(1, vmax + 1):
-            for w in enumerate_blowups(d, V):
-                for eps in PRUNE_EPSILONS:
-                    got = (is_terminal_fast(w, eps), is_canonical_fast(w, eps))
-                    assert got == _verdicts(_unpruned_lattice_points(w, eps)), (w.n, eps)
-                    if eps == 1:
-                        assert got == (is_terminal_fast(w), is_canonical_fast(w))
-                        assert got == (is_terminal_fast(w, 1), is_canonical_fast(w, 1))
 
 
 @given(weight_vectors(max_d=5, max_index=200))
@@ -246,15 +227,8 @@ def test_permutation_invariance(w, data, eps):
         b.eps_log_terminal, b.eps_log_canonical)
 
 
-def _flags_from_brute(w, eps=F(1)):
-    classes = [c for _, c in brute_force_lattice_points(w, eps)]
-    canonical = MembershipClass.INTERIOR not in classes
-    terminal = canonical and MembershipClass.BOUNDARY_NONVERTEX not in classes
-    return terminal, canonical
-
-
 @given(weight_vectors(max_index=25), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
 @settings(max_examples=100, deadline=None)
 def test_classify_matches_original_coordinates_oracle(w, eps):
     v = classify(w, eps)
-    assert (v.eps_log_terminal, v.eps_log_canonical) == _flags_from_brute(w, eps)
+    assert (v.eps_log_terminal, v.eps_log_canonical) == flags_from_brute(w, eps)

@@ -324,6 +324,18 @@ def test_sporadic_fixtures(capsys):
     assert doc["source"] == "embedded-fixtures"
 
 
+def test_sporadic_fixtures_refuse_input_and_strict(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "records.txt"
+    data.write_text("37 6 10 15 7 36\n")
+    for argv in (("--input", str(data)), ("--strict",), ("--input", str(data), "--strict")):
+        code, out, err = run(capsys, "sporadic", "--fixtures", *argv)
+        assert code == 2 and out == "" and err.startswith("error: --fixtures")
+    # the environment variable is only a default, which --fixtures overrides
+    monkeypatch.setenv("BLOWUPS_SPORADIC_DATA", str(data))
+    code, out, _ = run(capsys, "sporadic", "--fixtures")
+    assert code == 0 and json.loads(out)["source"] == "embedded-fixtures"
+
+
 def test_sporadic_file_and_csv(tmp_path, capsys):
     data = tmp_path / "records.txt"
     data.write_text("245 32 41 71 102 244\n37 6 10 15 7 36\n")

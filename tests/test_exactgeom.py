@@ -16,7 +16,6 @@ from blowups.exactgeom import (
     PackedRows,
     WeightVector,
     ZeroWeightError,
-    _barycentric_class,
     brute_force_lattice_points,
     checked_eps,
     classify_point,
@@ -28,7 +27,7 @@ from blowups.exactgeom import (
 )
 from blowups.search import enumerate_blowups
 
-from conftest import weight_vectors
+from conftest import PRUNE_EPSILONS, _unpruned_lattice_points, _verdicts, weight_vectors
 
 F = Fraction
 
@@ -173,42 +172,6 @@ def test_coset_soundness_and_recheck(w, eps):
 # ------------------------------------------- pruned loop against the full one
 
 
-def _unpruned_lattice_points(w, eps):
-    """The coset enumeration without the running-sum cutoff, as plain fields.
-
-    Every class k >= 1 is tested in the original axis order, and whatever
-    passes the sign test is classified whole.  A witness is (k, z, V*point,
-    class): V*point is integral, so the points compare exactly without
-    building a `Fraction` per coordinate.
-    """
-    n, V, d = w.n, w.V, w.d
-    a, b = eps.numerator, eps.denominator
-    scale = a * V
-    out = []
-    if a == b:
-        units = [tuple(int(j == i) for j in range(d)) for i in reversed(range(d))]
-        for z in [(0,) * d, *units]:
-            out.append((0, z, tuple(V * zi for zi in z), MembershipClass.VERTEX))
-    for k in range(1, V):
-        residues = tuple(k * ni % V for ni in n)
-        ybar = [b * r - (b - a) * ni for r, ni in zip(residues, n)]
-        if min(ybar) < 0:
-            continue
-        cls = _barycentric_class([scale - sum(ybar), *ybar], scale)
-        if cls is not MembershipClass.OUTSIDE:
-            out.append((k, (0,) * d, residues, cls))
-    return out
-
-
-def _verdicts(rows):
-    """(terminal, canonical) read off rows of `_unpruned_lattice_points`.
-
-    Terminal means no row but the vertices, canonical no interior row.
-    """
-    classes = {row[-1] for row in rows}
-    return classes <= {MembershipClass.VERTEX}, MembershipClass.INTERIOR not in classes
-
-
 def _fields(witnesses, w, eps):
     """The witnesses in the reference's fields, with the vertex rows at eps = 1.
 
@@ -227,9 +190,6 @@ def _fields(witnesses, w, eps):
     return out
 
 
-PRUNE_EPSILONS = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]
-
-
 # sha256 over every (vector, eps) pair and its witness fields, taken from the
 # enumeration before the running-sum cutoff; 75,936 pairs in all
 PRUNE_DIGESTS = {
@@ -246,12 +206,21 @@ PRUNE_DIGESTS = {
 
 @pytest.mark.parametrize("d,vmax", sorted(PRUNE_DIGESTS))
 def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
+    # the fast kernels share the residue pass, so they are checked against the
+    # same reference; eps = 1 passed as a Fraction or an int, or left to its
+    # default, gives the same verdicts
     h = hashlib.sha256()
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
             for eps in PRUNE_EPSILONS:
+                reference = _unpruned_lattice_points(w, eps)
                 got = _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps)
-                assert got == _unpruned_lattice_points(w, eps), (w.n, eps)
+                assert got == reference, (w.n, eps)
+                verdicts = (is_terminal_fast(w, eps), is_canonical_fast(w, eps))
+                assert verdicts == _verdicts(reference), (w.n, eps)
+                if eps == 1:
+                    assert verdicts == (is_terminal_fast(w), is_canonical_fast(w))
+                    assert verdicts == (is_terminal_fast(w, 1), is_canonical_fast(w, 1))
                 h.update(repr((w.n, str(eps), got)).encode())
     assert h.hexdigest() == PRUNE_DIGESTS[d, vmax]
 

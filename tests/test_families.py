@@ -22,30 +22,9 @@ from blowups.families import (
     table_csv,
 )
 
-F = Fraction
+from conftest import RATIO_TABLE
 
-# the 18 rows whose base ratios reach 7, with the 19 proof-table entries
-RATIO_TABLE = {
-    ("Q2", 3): F(9),
-    ("Q6", 2): F(8),
-    ("Q7", 3): F(12),
-    ("Q9", 3): F(12),
-    ("Q11", 3): F(15, 2),
-    ("Q11", 2): F(9),
-    ("Q15", 2): F(7),
-    ("Q16", 3): F(14),
-    ("Q18", 2): F(8),
-    ("Q19", 3): F(15),
-    ("Q20", 3): F(15, 2),
-    ("Q21", 2): F(9),
-    ("Q23", 3): F(18),
-    ("Q24", 2): F(10),
-    ("Q25", 2): F(10),
-    ("Q27", 3): F(20),
-    ("Q28", 2): F(12),
-    ("Q29", 2): F(15),
-    ("N5", 3): F(8),
-}
+F = Fraction
 
 
 # ------------------------------------------------------------------- table

@@ -9,7 +9,7 @@ import pytest
 
 from blowups import exactgeom, search
 from blowups.classifier import classify
-from blowups.exactgeom import MembershipClass, WeightVector, brute_force_lattice_points
+from blowups.exactgeom import WeightVector
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
@@ -21,6 +21,8 @@ from blowups.search import (
     projected_candidates,
     run_census,
 )
+
+from conftest import flags_from_brute
 
 F = Fraction
 
@@ -142,12 +144,17 @@ def test_census_unique_maximizer_at_245():
 
 
 def test_census_deterministic_across_workers():
-    q = CensusQuery(d=4, v_max=35)
-    a = run_census(q, workers=1)
-    b = run_census(q, workers=2)
-    c = run_census(q, workers=3)
-    assert a.histogram.counts == b.histogram.counts == c.histogram.counts
-    assert a.hits == b.hits == c.hits
+    queries = (
+        CensusQuery(d=4, v_max=35),
+        CensusQuery(d=4, v_max=20, verdict="canonical"),
+        CensusQuery(d=4, v_max=20, eps=F(1, 2), verdict="eps-lc"),
+    )
+    for q in queries:
+        a = run_census(q, workers=1)
+        b = run_census(q, workers=2)
+        c = run_census(q, workers=3)
+        assert a.histogram.counts == b.histogram.counts == c.histogram.counts, q
+        assert a.hits == b.hits == c.hits, q
 
 
 def test_census_submits_largest_index_first(monkeypatch):
@@ -313,37 +320,29 @@ def test_census_query_refuses_non_integers():
     assert CensusQuery(4, 10, min_weight=None).min_weight is None
 
 
-def _flags_from_brute(w, eps=F(1)):
-    classes = [c for _, c in brute_force_lattice_points(w, eps)]
-    canonical = MembershipClass.INTERIOR not in classes
-    terminal = canonical and MembershipClass.BOUNDARY_NONVERTEX not in classes
-    return terminal, canonical
-
-
-@pytest.mark.parametrize("verdict,flag", [("terminal", 0), ("canonical", 1)])
-def test_census_agrees_with_brute_force_oracle(verdict, flag):
+def test_census_agrees_with_brute_force_oracle():
+    # the oracle runs once per vector and gives both verdicts
     for d, vmax in ((2, 40), (3, 40)):
-        res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
-        got = {(h.V, h.n) for h in res.hits}
-        expected = set()
-        for V in range(1, vmax + 1):
-            for w in enumerate_blowups(d, V):
-                if _flags_from_brute(w)[flag]:
-                    expected.add((V, w.n))
-        assert got == expected
+        flags = {
+            (V, w.n): flags_from_brute(w)
+            for V in range(1, vmax + 1) for w in enumerate_blowups(d, V)
+        }
+        for flag, verdict in enumerate(("terminal", "canonical")):
+            res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
+            expected = {key for key, f in flags.items() if f[flag]}
+            assert {(h.V, h.n) for h in res.hits} == expected, (d, verdict)
 
 
 def test_census_eps_verdicts_match_classify():
+    # classify runs once per (vector, eps) and gives both verdicts
     for eps in (F(1, 2), F(2, 3)):
+        verdicts = {
+            w.n: classify(w, eps) for V in range(1, 15) for w in enumerate_blowups(3, V)
+        }
         for verdict, flag in (("eps-lt", "eps_log_terminal"), ("eps-lc", "eps_log_canonical")):
             res = run_census(CensusQuery(d=3, v_max=14, eps=eps, verdict=verdict))
             got = {h.n for h in res.hits}
-            expected = {
-                w.n
-                for V in range(1, 15)
-                for w in enumerate_blowups(3, V)
-                if getattr(classify(w, eps), flag)
-            }
+            expected = {n for n, v in verdicts.items() if getattr(v, flag)}
             assert got == expected, (eps, verdict)
 
 
