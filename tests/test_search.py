@@ -3,6 +3,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -320,17 +321,21 @@ def test_census_query_refuses_non_integers():
     assert CensusQuery(4, 10, min_weight=None).min_weight is None
 
 
-def test_census_agrees_with_brute_force_oracle():
-    # the oracle runs once per vector and gives both verdicts
+@cache
+def _brute_flags(d, vmax):
+    """Oracle (terminal, canonical) per (V, n), shared by both verdict cases."""
+    return {
+        (V, w.n): flags_from_brute(w)
+        for V in range(1, vmax + 1) for w in enumerate_blowups(d, V)
+    }
+
+
+@pytest.mark.parametrize("verdict,flag", [("terminal", 0), ("canonical", 1)])
+def test_census_agrees_with_brute_force_oracle(verdict, flag):
     for d, vmax in ((2, 40), (3, 40)):
-        flags = {
-            (V, w.n): flags_from_brute(w)
-            for V in range(1, vmax + 1) for w in enumerate_blowups(d, V)
-        }
-        for flag, verdict in enumerate(("terminal", "canonical")):
-            res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
-            expected = {key for key, f in flags.items() if f[flag]}
-            assert {(h.V, h.n) for h in res.hits} == expected, (d, verdict)
+        res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
+        expected = {key for key, f in _brute_flags(d, vmax).items() if f[flag]}
+        assert {(h.V, h.n) for h in res.hits} == expected, (d, verdict)
 
 
 def test_census_eps_verdicts_match_classify():
