@@ -13,31 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
-from .exactgeom import WeightVector, checked_eps, frac_point
+from .exactgeom import WeightVector, frac_point
 from .families import scan_families
 from .search import VERDICTS, BudgetExceeded, CensusQuery, run_census
 
 DATASET_ENV = "BLOWUPS_SPORADIC_DATA"
-
-_EPSILON_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-
-
-def parse_epsilon(text: str) -> Fraction:
-    """Exact fractions only: 'p/q' or an integer; decimals are rejected."""
-    m = _EPSILON_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"epsilon must be an integer or p/q fraction, got {text!r}")
-    num, den = int(m.group(1)), int(m.group(2) or 1)
-    if den == 0:
-        raise ValueError("epsilon denominator is zero")
-    return checked_eps(Fraction(num, den))
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -64,12 +49,11 @@ def _witness_json(w, n: WeightVector) -> dict:
 
 def cmd_classify(args) -> tuple[str, int]:
     weights = parse_weights(args.weights)
-    eps = parse_epsilon(args.epsilon)
-    verdict = classify(weights, eps)
+    verdict = classify(weights, args.epsilon)
     payload = {
         "weights": list(weights.n),
         "V": weights.V,
-        "epsilon": str(eps),
+        "epsilon": str(verdict.eps),
         "eps_log_terminal": verdict.eps_log_terminal,
         "eps_log_canonical": verdict.eps_log_canonical,
         "witness": _witness_json(verdict.witness, weights) if verdict.witness else None,
@@ -94,13 +78,11 @@ def _census_csv(result, d: int) -> str:
 
 
 def cmd_census(args) -> tuple[str, int]:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     query = CensusQuery(
         d=args.dim,
         v_min=args.vmin,
         v_max=args.vmax,
-        eps=parse_epsilon(args.epsilon),
+        eps=args.epsilon,
         verdict=args.verdict,
         min_weight=args.min_weight,
         budget=args.budget,
@@ -207,15 +189,15 @@ def cmd_sporadic(args) -> tuple[str, int]:
         # the fixtures are never read from a file, so the file and its parsing
         # mode would be ignored; $BLOWUPS_SPORADIC_DATA is only a default
         raise ValueError("--fixtures cannot be combined with --input or --strict")
-    path = args.input or os.environ.get(DATASET_ENV)
-    if path and not args.fixtures:
+    path = None if args.fixtures else args.input or os.environ.get(DATASET_ENV)
+    if args.strict and not path:
+        raise ValueError(f"--strict needs a dataset file: --input or ${DATASET_ENV}")
+    if path:
         records = sporadic.parse_dataset(path, strict=args.strict)
-        source = str(path)
     else:
-        records = list(sporadic.EMBEDDED_RECORDS)
-        source = "embedded-fixtures"
+        records = sporadic.EMBEDDED_RECORDS
     report = sporadic.sporadic_report(records)
-    report["source"] = source
+    report["source"] = path or "embedded-fixtures"
     if args.format == "csv":
         # the report's histogram is already in n_min order
         return "\n".join(_histogram_csv(report["histogram"].items())) + "\n", 0
@@ -243,10 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("census", cmd_census, "exhaustive census over an index range")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
-    p.add_argument("--vmin", type=int, default=1)
-    p.add_argument("--epsilon", default="1")
-    p.add_argument("--verdict", default="terminal", choices=VERDICTS)
-    p.add_argument("--min-weight", type=int, default=None)
+    p.add_argument("--vmin", type=int, default=CensusQuery.v_min)
+    p.add_argument("--epsilon", default=CensusQuery.eps)
+    p.add_argument("--verdict", default=CensusQuery.verdict, choices=VERDICTS)
+    p.add_argument("--min-weight", type=int, default=CensusQuery.min_weight)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--budget", type=int, default=CensusQuery.budget,
                    help="most residue steps, candidates x dim x vmax (default 10^11)")
@@ -272,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"dataset file (default: ${DATASET_ENV} or embedded fixtures)")
     p.add_argument("--fixtures", action="store_true",
                    help="force the embedded fixture records")
-    p.add_argument("--strict", action="store_true", help="strict dataset parsing")
+    p.add_argument("--strict", action="store_true", help="strict parsing of a dataset file")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     return parser

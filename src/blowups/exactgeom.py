@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 EPS_ONE = Fraction(1)  # the kernels' default eps, known valid by identity
+_EPS_TEXT = re.compile(r"(\d+)(?:/(\d+))?")  # eps text, once stripped: an integer or p/q
 
 
 class MembershipClass(Enum):
@@ -56,15 +58,24 @@ class OracleCapExceeded(RuntimeError):
     """The brute-force box scan was asked for an index above its cap."""
 
 
-def checked_eps(eps: Fraction | int) -> Fraction:
-    """eps as an exact Fraction, refused outside (0, 1] or as a binary float."""
+def checked_eps(eps: Fraction | int | str) -> Fraction:
+    """eps as an exact Fraction, refused outside (0, 1], as a binary float, or
+    as text with a sign, a decimal point, an exponent or a zero denominator."""
     if type(eps) is Fraction:  # reduced, with a positive denominator
         if 0 < eps.numerator <= eps.denominator:
             return eps
         raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
     if isinstance(eps, float):
         raise TypeError(f"eps {eps!r} is a float; pass a Fraction, an int or 'p/q'")
-    eps = Fraction(eps)
+    if isinstance(eps, str):
+        if not (m := _EPS_TEXT.fullmatch(eps.strip())):
+            raise ValueError(f"epsilon must be an integer or p/q fraction, got {eps!r}")
+        num, den = int(m[1]), int(m[2] or 1)
+        if den == 0:
+            raise ValueError("epsilon denominator is zero")
+        eps = Fraction(num, den)
+    else:
+        eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
     return eps

@@ -201,8 +201,10 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     """Classify every candidate in the index range and aggregate smallest weights.
 
     The hit list contains every passing vector meeting the min-weight filter,
-    sorted by (V, lex).  Output is bit-identical for any worker count.
+    sorted by (V, lex).  Output is bit-identical for any worker count >= 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     # a candidate of index V costs at most d*V residue steps in either kernel
     per_candidate = q.d * q.v_max
     # the exact count takes about min(d, j) * j additions, j = v_max + 1 - d;

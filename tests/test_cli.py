@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowups.cli import main, parse_epsilon, parse_weights
+from blowups.cli import main, parse_weights
 from blowups.search import CensusQuery, run_census
 
 
@@ -19,14 +19,6 @@ def run(capsys, *argv):
 
 
 # ------------------------------------------------------------------ parsing
-
-
-def test_parse_epsilon():
-    assert parse_epsilon("1") == 1
-    assert str(parse_epsilon("1/2")) == "1/2"
-    for bad in ("0.5", "0", "3/2", "1/0", "-1/2", "x"):
-        with pytest.raises(ValueError):
-            parse_epsilon(bad)
 
 
 def test_parse_weights():
@@ -58,7 +50,13 @@ def test_classify_witness_payload(capsys):
 def test_classify_exit_codes(capsys):
     assert run(capsys, "classify", "--weights", "2,4,6")[0] == 2
     assert run(capsys, "classify", "--weights", "2,0,5")[0] == 2
-    assert run(capsys, "classify", "--weights", "2,3,5", "--epsilon", "0.3")[0] == 2
+    # bad eps text reaches stderr with the message of `checked_eps`
+    for eps, msg in (("0.3", "epsilon must be an integer or p/q fraction, got '0.3'"),
+                     ("1e-1", "epsilon must be an integer or p/q fraction, got '1e-1'"),
+                     ("1/0", "epsilon denominator is zero"),
+                     ("3/2", "eps must be a rational in (0, 1], got 3/2")):
+        code, out, err = run(capsys, "classify", "--weights", "2,3,5", "--epsilon", eps)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
     code, out, _ = run(capsys, "classify", "--weights", "2,3,5")
     assert code == 0 and json.loads(out)["eps_log_terminal"] is False
 
@@ -194,12 +192,12 @@ def test_census_budget_exit(capsys):
 
 
 def test_census_rejects_threads_below_one(capsys):
-    # once run silently on one worker; now bad input, refused before any work
+    # `run_census` refuses the worker count before any work
     for threads in ("0", "-3"):
         code, out, err = run(capsys, "census", "--dim", "3", "--vmax", "5",
                              "--threads", threads)
         assert code == 2 and out == ""
-        assert err == f"error: --threads must be at least 1, got {threads}\n"
+        assert err == f"error: workers must be at least 1, got {threads}\n"
 
 
 def test_census_out_file(tmp_path, capsys):
@@ -334,6 +332,23 @@ def test_sporadic_fixtures_refuse_input_and_strict(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("BLOWUPS_SPORADIC_DATA", str(data))
     code, out, _ = run(capsys, "sporadic", "--fixtures")
     assert code == 0 and json.loads(out)["source"] == "embedded-fixtures"
+
+
+def test_sporadic_strict_needs_a_file(tmp_path, capsys, monkeypatch):
+    # without a file there is nothing to parse strictly
+    monkeypatch.delenv("BLOWUPS_SPORADIC_DATA", raising=False)
+    code, out, err = run(capsys, "sporadic", "--strict")
+    assert code == 2 and out == "" and err.startswith("error: --strict")
+    # the file the variable names is parsed strictly: liberal input is refused
+    data = tmp_path / "records.txt"
+    data.write_text("37,6,10,15,7,36\n")
+    monkeypatch.setenv("BLOWUPS_SPORADIC_DATA", str(data))
+    assert run(capsys, "sporadic")[0] == 0
+    code, out, err = run(capsys, "sporadic", "--strict")
+    assert code == 4 and out == "" and "line 1" in err
+    data.write_text("37 6 10 15 7 36\n")
+    code, out, _ = run(capsys, "sporadic", "--strict")
+    assert code == 0 and json.loads(out)["source"] == str(data)
 
 
 def test_sporadic_file_and_csv(tmp_path, capsys):

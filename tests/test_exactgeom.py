@@ -79,6 +79,29 @@ def test_membership_layer_rejects_bad_eps():
     assert checked_eps(F(1)) == 1 and checked_eps(F(2, 3)) == F(2, 3)
 
 
+def test_checked_eps_text():
+    assert checked_eps("1") == 1 and str(checked_eps("1/2")) == "1/2"
+    assert checked_eps(" 1/2 ") == checked_eps("2/4") == F(1, 2)
+    # pytest.raises(ValueError) does not catch ZeroDivisionError
+    for bad in ("0.5", "0", "3/2", "1/0", "-1/2", "x", "1e-1", "+1/2"):
+        with pytest.raises(ValueError):
+            checked_eps(bad)
+    with pytest.raises(ValueError, match="^epsilon denominator is zero$"):
+        checked_eps("1/0")
+    with pytest.raises(ValueError, match="^epsilon must be an integer or p/q fraction, got '1e-1'$"):
+        checked_eps("1e-1")
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_checked_eps_text_is_the_fraction(p, q):
+    text = f"{p}/{q}"
+    if 0 < p <= q:
+        assert checked_eps(text) == F(p, q)
+    else:
+        with pytest.raises(ValueError):
+            checked_eps(text)
+
+
 # ---------------------------------------------------------------- frac_point
 
 

@@ -174,6 +174,16 @@ def test_census_submits_largest_index_first(monkeypatch):
     assert keys == sorted(keys) and {V for V, _ in keys} == set(range(5, 21))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_census_refuses_workers_below_one(monkeypatch, workers):
+    def failing_block(task):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(search, "_census_block", failing_block)
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+        run_census(CensusQuery(d=3, v_max=5), workers=workers)
+
+
 @pytest.mark.parametrize("d,packed", [(3, False), (4, True), (5, True)])
 def test_census_block_packs_each_index_at_d4_and_up(monkeypatch, d, packed):
     seen = []
