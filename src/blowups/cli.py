@@ -70,10 +70,8 @@ def _census_csv(result, d: int) -> str:
     lines = _histogram_csv(result.histogram.items())
     lines.append("")
     lines.append("V," + ",".join(f"n_{i + 1}" for i in range(d)) + ",n_min")
-    lines += [
-        f"{h.V}," + ",".join(map(str, h.n)) + f",{h.n_min}"
-        for h in result.hits
-    ]
+    row = ",".join(["%d"] * (d + 2))  # V, the weights, n_min
+    lines += [row % (sum(h.n) - 1, *h.n, min(h.n)) for h in result.hits]
     return "\n".join(lines) + "\n"
 
 
@@ -113,12 +111,12 @@ def _census_json(query: CensusQuery, result) -> str:
     })
     if not result.hits:
         return head
-    sep = ",\n        "
-    hits = ",\n".join(
-        f'    {{\n      "V": {h.V},\n      "n_min": {h.n_min},\n'
-        f'      "weights": [\n        {sep.join(map(str, h.n))}\n      ]\n    }}'
-        for h in result.hits
+    hit = (
+        '    {\n      "V": %d,\n      "n_min": %d,\n      "weights": [\n        '
+        + ",\n        ".join(["%d"] * query.d)
+        + "\n      ]\n    }"
     )
+    hits = ",\n".join([hit % (sum(h.n) - 1, min(h.n), *h.n) for h in result.hits])
     # no other key or value of the header can read `"hits": []`
     return head.replace('"hits": []', f'"hits": [\n{hits}\n  ]', 1)
 

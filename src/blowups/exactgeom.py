@@ -12,12 +12,12 @@ and p + eps*(e_i - p).
 The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
-stand on them.  The pass has two forms with the same classes.  The scalar
-one computes the residues of one vector.  The packed one, which the census
-enters per index at d >= 4 through `packed_residues`, keeps one integer per
-weight value holding all its residues in w-bit fields with 2^(w-1) > d*V,
-and tests every class of a vector with a few big-integer additions; the
-bound keeps the fields from carrying into each other.  A witness is a class
+stand on them.  Inside `packed_residues(d, V)`, which the census enters per
+index at d >= 4, the kernels answer instead from `packed_classes`: one
+integer per weight value holds all its residues in w-bit fields with
+2^(w-1) > d*V, a few big-integer additions give the bitset of every class of
+a vector, and one mask per weight value, built from `place_class`'s test,
+keeps the classes in the closed or open simplex at eps.  A witness is a class
 k and its membership.  An independent brute-force scan of
 eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.
@@ -174,7 +174,7 @@ class PackedRows(dict):
     width*(k-1); it is built the first time v is looked up.  The width is
     the least multiple of 4 with 2^(width-1) > d*V, so a row is read from hex
     digits and the fields of the sum of up to d rows cannot carry into each
-    other (see `residue_classes`).
+    other (see `packed_classes`).  `mask` holds the top bit of every field.
     """
 
     def __init__(self, d: int, V: int) -> None:
@@ -184,35 +184,112 @@ class PackedRows(dict):
         field = f"0{width // 4}x"
         self._digits = [format(r, field) for r in range(V)]
         # "0" + keeps int() defined at V = 1, where a row has no field
-        self.bias = int("0" + format((1 << width - 1) - 1 - V, field) * (V - 1), 16)
         self.mask = int("0" + format(1 << width - 1, field) * (V - 1), 16)
+        self._ones = self.mask >> width - 1  # 1 in every field
+        self.bias = ((1 << width - 1) - 1 - V) * self._ones
+        self._verdict_masks: dict[tuple[int, int, bool], VerdictMasks] = {}
 
     def __missing__(self, v: int) -> int:
         V, digits = self.V, self._digits
         row = self[v] = int("0" + "".join([digits[k * v % V] for k in range(V - 1, 0, -1)]), 16)
         return row
 
+    def verdict_masks(self, eps: Fraction, interior: bool) -> VerdictMasks:
+        """The per-value masks of the closed or the open simplex at eps, made once."""
+        key = (eps.numerator, eps.denominator, interior)
+        masks = self._verdict_masks.get(key)
+        if masks is None:
+            masks = self._verdict_masks[key] = VerdictMasks(self, *key)
+        return masks
 
-# the rows `residue_classes` reads and their bound getter, which `map` calls
-# without building a method wrapper per vector; set by `packed_residues`
-_packed: tuple[PackedRows, Callable[[int], int]] | None = None
+
+class VerdictMasks(dict):
+    """Per weight value v, the top bits of the fields k that `place_class` keeps.
+
+    At eps = a/b the point of class k lies in the closed simplex iff
+    b*(k*v mod V) >= (b-a)*v for every weight v, and in its interior iff
+    each inequality is strict (`place_class`; a zero residue fails both when
+    a < b, and only the strict one at eps = 1).  So the mask of v keeps the
+    fields whose residue reaches the least integer t that satisfies its
+    inequality.  It is built from the row of v: adding 2^(width-1) - t to
+    every field sets the top bit exactly where k*v mod V >= t, and carries
+    into no other field, as 0 <= t <= v <= V and 2^(width-1) > 2*V.
+    """
+
+    def __init__(self, rows: PackedRows, a: int, b: int, interior: bool) -> None:
+        super().__init__()
+        self.rows, self.a, self.b, self.interior = rows, a, b, interior
+
+    def __missing__(self, v: int) -> int:
+        rows, c = self.rows, (self.b - self.a) * v
+        t = c // self.b + 1 if self.interior else -(-c // self.b)
+        mask = self[v] = (rows[v] + ((1 << rows.width - 1) - t) * rows._ones) & rows.mask
+        return mask
+
+
+# the block `packed_classes` reads: (rows, row getter, V + 1, d, mask, bias),
+# with the getter bound once so that `map` builds no method wrapper per vector;
+# set by `packed_residues`
+_packed: tuple[PackedRows, Callable[[int], int], int, int, int, int] | None = None
 
 
 @contextmanager
 def packed_residues(d: int, V: int) -> Iterator[PackedRows]:
-    """Run `residue_classes` on packed rows for vectors of index V and length <= d.
+    """Answer `packed_classes`, and so the fast kernels, for vectors of index V
+    and length <= d from packed rows.
 
     The census enters this for one index at d >= 4 and leaves it when the
-    index is done, also on an exception; the rows are dropped on exit.  The
-    rows are module state because the kernels keep their one-argument call.
+    index is done, also on an exception; the rows and masks are dropped on
+    exit.  The rows are module state because the kernels keep their
+    one-argument call.
     """
     global _packed
     rows = PackedRows(d, V)
-    saved, _packed = _packed, (rows, rows.__getitem__)
+    saved, _packed = _packed, (rows, rows.__getitem__, V + 1, d, rows.mask, rows.bias)
     try:
         yield rows
     finally:
         _packed = saved
+
+
+def packed_classes(
+    w: tuple[int, ...], eps: Fraction | int = EPS_ONE, interior: bool = False
+) -> int | None:
+    """The classes of w in the closed simplex at eps, or in its interior, as a bitset.
+
+    Class k is bit width*k - 1 of the result, the top bit of field k-1 of
+    the rows.  Inside `packed_residues(d, V)`, for a vector of index V and at
+    most d weights, the sum of its rows plus a bias of 2^(w-1) - 1 - V in
+    each w-bit field holds s(k) + 2^(w-1) - 1 - V in field k-1.  As
+    0 <= s(k) <= d*(V-1) and 2^(w-1) > d*V, each field lies in [0, 2^w), so
+    no field carries into the next, and its top bit is clear exactly when
+    s(k) <= V: `mask & ~(rows + bias)` holds the classes of `residue_classes`.
+    At eps = 1 every one of them lies in the closed simplex; otherwise the
+    result is ANDed with the `VerdictMasks` of each weight.  Outside such a
+    block the result is None, and the caller takes the scalar pass.
+
+    The census enters a block at d >= 4, where an index has about V^3/144
+    candidates against at most V^2 residues in its rows; at d = 2 building
+    the rows costs more than it saves, at d = 3 about as much at eps = 1
+    (`search.PACKED_FROM_DIM`), and a single call would build them for one
+    vector only.
+    """
+    packed = _packed
+    if packed is None:
+        return None
+    rows, row, size, d, mask, bias = packed
+    if sum(w) != size or len(w) > d:
+        return None
+    free = mask & ~sum(map(row, w), bias)
+    if eps is not EPS_ONE:
+        eps = checked_eps(eps)
+    elif not interior:
+        return free
+    if free and (interior or eps.numerator != eps.denominator):
+        masks = rows.verdict_masks(eps, interior)
+        for v in w:
+            free &= masks[v]
+    return free
 
 
 def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
@@ -224,39 +301,13 @@ def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
     so the apex inequality sum ybar_i <= a*V reads s <= V + (b-a)/b, and since
     s is an integer, s(k) <= V.
 
-    The scalar pass visits only k <= V//2: the residues of k and V-k add up
-    to V unless both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).
-    At even V the class V/2 is its own complement and is yielded once.
-    Classes come in pairs (k, V-k), not in k order.
-
-    Inside `packed_residues(d, V)`, a vector of index V and at most d weights
-    takes the packed pass instead: the sum of its rows plus a bias of
-    2^(w-1) - 1 - V in each w-bit field holds s(k) + 2^(w-1) - 1 - V in field
-    k-1.  As 0 <= s(k) <= d*(V-1) and 2^(w-1) > d*V, each field lies in
-    [0, 2^w), so no field carries into the next, and its top bit is clear
-    exactly when s(k) <= V.  The classes come in k order, and z is counted
-    only for the classes yielded.  The census takes this pass at d >= 4,
-    where an index has about V^3/144 candidates against at most V^2 residues
-    in its rows; at d <= 3 building the rows costs more than it saves, and a
-    single call builds them for one vector only.
+    The pass visits only k <= V//2: the residues of k and V-k add up to V
+    unless both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).  At
+    even V the class V/2 is its own complement and is yielded once.  Classes
+    come in pairs (k, V-k), not in k order.
     """
     w = n.n
     V = sum(w) - 1
-    packed = _packed
-    if packed is not None and packed[0].V == V and len(w) <= packed[0].d:
-        rows, row = packed
-        free = rows.mask & ~sum(map(row, w), rows.bias)
-        width = rows.width
-        while free:
-            low = free & -free
-            k = low.bit_length() // width  # the top bit of field k-1 is bit width*k - 1
-            z = 0
-            for ni in w:
-                if not k * ni % V:
-                    z += 1
-            yield k, z
-            free ^= low
-        return
     top = (len(w) - 1) * V  # s(V-k) <= V reads s(k) + z*V >= top
     for k in range(1, V // 2 + 1):
         s = z = 0

@@ -23,11 +23,12 @@ from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
-# the least dimension whose census indices take the packed residue pass; see
-# `exactgeom.residue_classes` for why the rows pay off only from d = 4.  With
-# the pass forced lower (one worker, best of 3, three rounds, 2-CPU host,
-# Python 3.11): d = 2, V <= 400 took 1.34-1.69 s packed against 0.07-0.08 s
-# scalar, and d = 3, V <= 200 took 0.95-1.28 s against 0.96-1.14 s
+# the least dimension whose census indices run inside `packed_residues`, so
+# that every verdict is one bitset (`exactgeom.packed_classes`, which says why
+# the rows pay off only from d = 4).  With the blocks forced lower (one
+# worker, best of 3, 2-CPU host, Python 3.11): d = 2, V <= 400 took 1.1-1.3 s
+# packed against 0.06-0.07 s scalar; d = 3, V <= 200 took 0.62 s against
+# 0.77 s terminal and 0.87 s against 0.81 s canonical
 PACKED_FROM_DIM = 4
 
 
@@ -93,24 +94,27 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
     A vector with t ones has V + 1 >= t + 2(d - t), so it starts with at
     least 2d - V - 1 ones.  They are emitted as one prefix (keeping two slots
     for the last loop), so the recursion is never deeper than V + 1 - d.
+    The last loop takes g = gcd(prefix, remaining) once: the vector
+    (prefix, v, remaining - v) is primitive iff gcd(g, v) = 1.
     """
     if d < 2 or V < 1:
         raise ValueError("need d >= 2 and V >= 1")
     if V + 1 < d:  # d positive weights sum to at least d
         return
 
-    def parts(prefix: tuple[int, ...], remaining: int, slots: int, lo: int):
+    def parts(prefix: tuple[int, ...], g: int, remaining: int, slots: int, lo: int):
+        # g is the gcd of the prefix
         if slots == 2:
+            g = gcd(g, remaining)
             for v in range(lo, remaining // 2 + 1):
-                yield prefix + (v, remaining - v)
+                if g == 1 or gcd(g, v) == 1:  # positive and primitive, as WeightVector checks
+                    yield _unchecked_weights(prefix + (v, remaining - v))
             return
         for v in range(lo, remaining // slots + 1):
-            yield from parts(prefix + (v,), remaining - v, slots - 1, v)
+            yield from parts(prefix + (v,), gcd(g, v), remaining - v, slots - 1, v)
 
     ones = min(max(2 * d - V - 1, 0), d - 2)
-    for tup in parts((1,) * ones, V + 1 - ones, d - ones, 1):
-        if gcd(*tup) == 1:  # positive and primitive: WeightVector has nothing to check
-            yield _unchecked_weights(tup)
+    yield from parts((1,) * ones, min(ones, 1), V + 1 - ones, d - ones, 1)
 
 
 def _partition_row(j_max: int, parts: int) -> tuple[int, ...]:
@@ -178,7 +182,7 @@ def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[W
     with packed_residues(q.d, V) if q.d >= PACKED_FROM_DIM else nullcontext():
         for w in enumerate_blowups(q.d, V):
             if passes(w):
-                m = w.n_min
+                m = min(w.n)
                 counts[m] = counts.get(m, 0) + 1
                 if q.min_weight is None or m >= q.min_weight:
                     hits.append(w)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from hypothesis import assume, strategies as st
 
@@ -79,3 +79,31 @@ def _verdicts(rows):
     """
     classes = {row[-1] for row in rows}
     return classes <= {MembershipClass.VERTEX}, MembershipClass.INTERIOR not in classes
+
+
+def mld_reference(n: WeightVector) -> Fraction | float:
+    """The minimal log discrepancy of the blowup with weights n, with no index cap.
+
+    The blowup is the toric variety of the orthant's fan subdivided at n.  On
+    the cone sigma_i spanned by n and the e_j, j != i, which is where v_i/n_i
+    is least among the v_j/n_j, the log discrepancy is the linear function
+    equal to 1 at n and at each e_j: phi(v) = |v| - V*v_i/n_i.  For fixed
+    c = v_i, phi grows with every other v_j, which sigma_i bounds below by
+    c*n_j/n_i, so its least lattice value is c + sum_{j != i} ceil(c*n_j/n_i)
+    - V*c/n_i.  That is the minimum over i and c = 1..n_i-1.  No other point
+    off the rays goes below 1: c = 0 gives |v| >= 2, and for c >= n_i the
+    point minus n lies in sigma_i, so phi exceeds 1.  So for eps <= 1 the
+    value decides both flags, terminal iff mld > eps and canonical iff
+    mld >= eps, and it is infinite for (1, ..., 1), whose blowup is smooth.
+    """
+    w = n.n
+    V = sum(w) - 1
+    best: Fraction | float = inf
+    for i, ni in enumerate(w):
+        others = w[:i] + w[i + 1 :]
+        if ni > 1:  # n_i * phi is an integer; -(-x // y) is ceil(x/y)
+            least = min(
+                ni * (c - sum(-c * nj // ni for nj in others)) - V * c for c in range(1, ni)
+            )
+            best = min(best, Fraction(least, ni))
+    return best

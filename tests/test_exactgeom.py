@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from blowups.classifier import is_canonical_fast, is_terminal_fast
 from blowups import exactgeom
 from blowups.exactgeom import (
+    EPS_ONE,
     ORACLE_CAP,
     MembershipClass,
     OracleCapExceeded,
@@ -21,13 +22,21 @@ from blowups.exactgeom import (
     classify_point,
     frac_point,
     lattice_points_in_shrunk_simplex,
+    packed_classes,
     packed_residues,
+    place_class,
     residue_classes,
     to_integer_lattice,
 )
 from blowups.search import enumerate_blowups
 
-from conftest import PRUNE_EPSILONS, _unpruned_lattice_points, _verdicts, weight_vectors
+from conftest import (
+    PRUNE_EPSILONS,
+    _unpruned_lattice_points,
+    _verdicts,
+    mld_reference,
+    weight_vectors,
+)
 
 F = Fraction
 
@@ -274,40 +283,76 @@ def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
     assert (is_terminal_fast(w, eps), is_canonical_fast(w, eps)) == _verdicts(reference)
 
 
-# ------------------------------------------ packed residue pass against scalar
+# --------------------------------------- packed verdict bitsets against scalar
+
+
+_EPSILONS = [EPS_ONE, *PRUNE_EPSILONS]  # the kernels' default object first
+
+
+def _classes_of(bits, width):
+    """The classes k of a bitset of `packed_classes`, in k order: bit width*k - 1."""
+    ks = []
+    while bits:
+        low = bits & -bits
+        ks.append(low.bit_length() // width)
+        bits ^= low
+    return ks
+
+
+def _scalar_placed(w):
+    """Per eps, the classes of the scalar pass that `place_class` puts in the
+    closed simplex and in its interior, in k order."""
+    classes = sorted(residue_classes(w))
+    out = []
+    for e in _EPSILONS:
+        placed = [(k, place_class(w, k, z, e)) for k, z in classes]
+        out.append((
+            [k for k, m in placed if m is not MembershipClass.OUTSIDE],
+            [k for k, m in placed if m is MembershipClass.INTERIOR],
+        ))
+    return out
+
+
+def _packed_placed(w, rows):
+    """`_scalar_placed` read off the closed and interior bitsets, inside a block."""
+    return [
+        (
+            _classes_of(packed_classes(w.n, e), rows.width),
+            _classes_of(packed_classes(w.n, e, interior=True), rows.width),
+        )
+        for e in _EPSILONS
+    ]
 
 
 def _packed_classes(w, d=None):
-    """The packed pass on w, in a block of its own index for vectors of length <= d."""
+    """The bitsets of w at every eps, in a block of its own index for vectors of length <= d."""
     with packed_residues(d or w.d, w.V) as rows:
-        got = list(residue_classes(w))
-        assert rows  # the packed pass ran and built the rows of w
+        got = _packed_placed(w, rows)
+        assert rows  # the block built the rows of w
     return got
 
 
 def _check_packed_against_scalar(w):
-    scalar = sorted(residue_classes(w))
-    packed = _packed_classes(w)
-    assert packed == scalar, w.n  # the packed pass yields in k order
+    scalar = _scalar_placed(w)
+    assert _packed_classes(w) == scalar, w.n
     return scalar
 
 
-def _pass_and_verdicts(w):
-    """The sorted classes of w, and both kernels at every eps and at the default."""
-    return (
-        sorted(residue_classes(w)),
-        [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in PRUNE_EPSILONS],
-        (is_terminal_fast(w), is_canonical_fast(w)),
-    )
+def _verdicts_at_every_eps(w):
+    return [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in _EPSILONS]
 
 
 @pytest.mark.parametrize("d,vmax", [(2, 60), (3, 36), (4, 26), (5, 18)])
 def test_packed_pass_matches_scalar_exhaustive(d, vmax):
+    # the bitsets against place_class, and the kernels in a block against outside
     for V in range(1, vmax + 1):
-        with packed_residues(d, V):
-            packed = {w.n: _pass_and_verdicts(w) for w in enumerate_blowups(d, V)}
+        with packed_residues(d, V) as rows:
+            packed = {
+                w.n: (_packed_placed(w, rows), _verdicts_at_every_eps(w))
+                for w in enumerate_blowups(d, V)
+            }
         for w in enumerate_blowups(d, V):
-            assert packed[w.n] == _pass_and_verdicts(w), w.n
+            assert packed[w.n] == (_scalar_placed(w), _verdicts_at_every_eps(w)), w.n
 
 
 @given(_large_index_vectors(max_index=419))
@@ -326,28 +371,62 @@ def test_packed_field_width_edges():
     assert [PackedRows(4, V).width for V in (8191, 8193)] == [16, 20]
     for n in ((1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)):
         _check_packed_against_scalar(WeightVector(n))
-    # the d = 2 vector (1, V), and V = 1
+    # the d = 2 vector (1, V), every class of which is in the closed simplex
+    # at eps = 1, and V = 1
     for V in (1, 2, 7, 64, 419):
-        assert len(_check_packed_against_scalar(WeightVector((1, V)))) == V - 1
+        assert len(_check_packed_against_scalar(WeightVector((1, V)))[0][0]) == V - 1
     # a vector shorter than the block's dimension fits its fields too
     short = WeightVector((1, 1, 2))
-    assert _packed_classes(short, d=4) == sorted(residue_classes(short))
+    assert _packed_classes(short, d=4) == _scalar_placed(short)
 
 
 def test_packed_state_is_dropped_and_scoped_to_its_index():
     assert exactgeom._packed is None
     other = WeightVector((1, 2, 3, 5))  # index 10
     wide = WeightVector((1, 2, 3, 4, 21))  # index 30, more weights than the fields allow
-    scalar = [list(residue_classes(w)) for w in (other, wide)]
+    for w in (other, wide):
+        assert packed_classes(w.n) is None  # outside any block
+    verdicts = [_verdicts_at_every_eps(w) for w in (other, wide)]
     with packed_residues(4, 30) as rows:
-        assert [list(residue_classes(w)) for w in (other, wide)] == scalar
-        assert not rows  # neither vector took the packed pass
+        for w in (other, wide):
+            assert packed_classes(w.n) is None
+            assert packed_classes(w.n, F(1, 2), interior=True) is None
+        assert [_verdicts_at_every_eps(w) for w in (other, wide)] == verdicts
+        assert not rows  # neither vector built a row
     assert exactgeom._packed is None
     with pytest.raises(RuntimeError):
         with packed_residues(4, 30):
             assert exactgeom._packed is not None
             raise RuntimeError
     assert exactgeom._packed is None
+
+
+def test_packed_classes_checks_eps():
+    w = WeightVector((1, 2, 3, 5))
+    with packed_residues(4, 10):
+        with pytest.raises(ValueError):
+            packed_classes(w.n, F(3, 2))
+        with pytest.raises(TypeError):
+            packed_classes(w.n, 0.5, interior=True)
+
+
+@given(_large_index_vectors(min_d=2, max_d=6, max_index=419))
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_mld_reference(w):
+    # terminal iff mld > eps, canonical iff mld >= eps, in a block and outside
+    mld = mld_reference(w)
+    expected = [(mld > e, mld >= e) for e in _EPSILONS]
+    assert _verdicts_at_every_eps(w) == expected, w.n
+    with packed_residues(w.d, w.V):
+        assert _verdicts_at_every_eps(w) == expected, w.n
+        assert packed_classes(w.n) is not None  # the block answered
+
+
+def test_mld_reference_examples():
+    assert mld_reference(WeightVector((4, 5))) == F(2, 5)  # the classical d = 2 value
+    assert mld_reference(WeightVector((1, 1, 1))) == float("inf")
+    assert mld_reference(WeightVector((32, 41, 71, 102))) > 1  # the d = 4 maximiser is terminal
+    assert mld_reference(WeightVector((300, 303, 313, 366))) == F(1, 2)
 
 
 # ---------------------------------------------------------------- brute force

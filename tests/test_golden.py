@@ -125,6 +125,18 @@ GOLDEN = [
      "08ae97ebec297e7209aaffd778e96d5c19893f7bb023cb863649b79af94d76c6", 0),
     (("census", "--threads", "1", "--dim", "4", "--vmin", "120", "--vmax", "124"),
      "a2fda96c1894b24a2b51a4a3d11720fb636f635ae2be7de152e7b9ed782a0965", 0),
+    # taken while census verdicts at d >= 4 still placed each packed class
+    # with `place_class`: the interior masks at eps = 1 and 1/2 at large V,
+    # and the closed masks at a denominator of 5
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "120", "--vmax", "124",
+      "--verdict", "canonical"),
+     "9e0564742a46baa8f82c71954d1c9ac59f8350bc001e93c67181c7e7d88017f9", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "120", "--vmax", "124",
+      "--epsilon", "1/2", "--verdict", "eps-lc"),
+     "ec33e682c9a1a95c01fa6bcb8d03fbb6960d130707399cc2d4238572b148fa91", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "100", "--vmax", "102",
+      "--epsilon", "4/5", "--verdict", "eps-lt"),
+     "3f4a9a158a5f90fa405f47fb2a021c0cd6e4257e4a8f0919c092223e4ab14c77", 0),
 ]
 
 

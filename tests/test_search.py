@@ -8,8 +8,8 @@ from math import gcd
 
 import pytest
 
-from blowups import exactgeom, search
-from blowups.classifier import classify
+from blowups import classifier, exactgeom, search
+from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups.exactgeom import WeightVector
 from blowups.search import (
     BudgetExceeded,
@@ -43,15 +43,17 @@ def test_enumerate_lex_order_and_shape():
     assert all(t == tuple(sorted(t)) and sum(t) == 21 and gcd(*t) == 1 for t in got)
 
 
-def _naive_count(d, V):
-    # nested-loop oracle: nondecreasing positive d-tuples with sum V+1, gcd 1
+def _naive_vectors(d, V):
+    # nested-loop oracle: nondecreasing positive d-tuples with sum V+1, gcd 1,
+    # in lex order
     def rec(prefix, lo, remaining, slots):
         if slots == 0:
-            return 1 if remaining == 0 and gcd(*prefix) == 1 else 0
-        return sum(
-            rec(prefix + (v,), v, remaining - v, slots - 1)
+            return [prefix] if remaining == 0 and gcd(*prefix) == 1 else []
+        return [
+            t
             for v in range(lo, remaining + 1)
-        )
+            for t in rec(prefix + (v,), v, remaining - v, slots - 1)
+        ]
 
     return rec((), 1, V + 1, d)
 
@@ -69,7 +71,7 @@ def test_enumerated_vectors_equal_checked_construction(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_enumerate_completeness_vs_naive(d):
     for V in range(1, 31):
-        assert len(list(enumerate_blowups(d, V))) == _naive_count(d, V)
+        assert [w.n for w in enumerate_blowups(d, V)] == _naive_vectors(d, V), (d, V)
 
 
 def test_partition_count_matches_enumeration_superset():
@@ -206,6 +208,26 @@ def test_census_block_packs_each_index_at_d4_and_up(monkeypatch, d, packed):
     with pytest.raises(RuntimeError):
         search._census_block((CensusQuery(d=d, v_max=20), 20))
     assert exactgeom._packed is None
+
+
+@pytest.mark.parametrize(
+    "verdict,eps", [("terminal", 1), ("canonical", 1), ("eps-lt", F(2, 3)), ("eps-lc", F(1, 2))]
+)
+def test_census_block_never_places_a_class(monkeypatch, verdict, eps):
+    # inside a packed block every verdict is one bitset: no class is iterated
+    # or placed, and the hits are those of the scalar kernels
+    q = CensusQuery(d=4, v_max=30, eps=eps, verdict=verdict)
+    kernel = is_terminal_fast if verdict in ("terminal", "eps-lt") else is_canonical_fast
+    expected = [w for w in enumerate_blowups(4, 30) if kernel(w, eps)]
+
+    def failing(*args):
+        raise AssertionError("a class was iterated or placed")
+
+    for module in (classifier, exactgeom):
+        monkeypatch.setattr(module, "place_class", failing)
+        monkeypatch.setattr(module, "residue_classes", failing)
+    counts, hits = search._census_block((q, 30))
+    assert hits == expected and sum(counts.values()) == len(expected) > 0
 
 
 def test_pool_size_clamp(monkeypatch):
