@@ -5,9 +5,9 @@ the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 (p = n/V), and eps-log canonical exactly when it is hollow.  `classify`
 reports a witness from the coset enumeration; `is_terminal_fast` and
 `is_canonical_fast` stop at the first class that decides the verdict.  All
-three stand on the residue pass `exactgeom.residue_classes`, at every eps,
-except that inside a census block (`exactgeom.packed_residues`) the kernels
-read every class at once from one bitset, `exactgeom.packed_classes`.
+three stand on the residue pass `exactgeom.residue_classes`, at every eps;
+each kernel has two paths: `place_class` over that pass, or inside a census
+block (`exactgeom.packed_residues`) one bitset, `exactgeom.packed_classes`.
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
 def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     """eps-log terminal: no class of the residue pass lies in the simplex.
 
-    At eps = 1 every class of the pass does, so this is the Reid-Tai test:
-    s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].  Inside a
-    `packed_residues` block: no bit of `packed_classes` survives.
+    Inside a `packed_residues` block no bit of `packed_classes` survives,
+    elsewhere `place_class` puts every class outside; at eps = 1 this is the
+    Reid-Tai test s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
     """
     inside = packed_classes(n.n, eps)
     if inside is not None:
         return not inside
-    if eps is EPS_ONE:
-        return next(residue_classes(n), None) is None
     eps = checked_eps(eps)
     return all(place_class(n, k, z, eps) is OUTSIDE for k, z in residue_classes(n))
 
@@ -85,18 +83,13 @@ def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
 def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     """eps-log canonical: no class of the residue pass lies in the interior.
 
-    At eps = 1 that is a class with no zero residue; a zero one parks the
-    whole class on the boundary.  Inside a `packed_residues` block: no bit
-    of `packed_classes` of the interior survives.
+    Inside a `packed_residues` block no bit of `packed_classes` of the
+    interior survives, elsewhere `place_class` puts no class in the interior;
+    at eps = 1 that is a class with no zero residue.
     """
     inside = packed_classes(n.n, eps, interior=True)
     if inside is not None:
         return not inside
-    if eps is EPS_ONE:
-        for _, z in residue_classes(n):
-            if not z:
-                return False
-        return True
     eps = checked_eps(eps)
     return all(place_class(n, k, z, eps) is not INTERIOR for k, z in residue_classes(n))
 

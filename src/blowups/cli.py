@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -23,14 +24,14 @@ from .families import scan_families
 from .search import VERDICTS, BudgetExceeded, CensusQuery, run_census
 
 DATASET_ENV = "BLOWUPS_SPORADIC_DATA"
+_WEIGHT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() text, less "_" and non-ASCII digits
 
 
 def parse_weights(text: str) -> WeightVector:
-    try:
-        values = tuple(int(f) for f in text.split(","))
-    except ValueError:
+    fields = text.split(",")
+    if not all(map(_WEIGHT_TEXT.fullmatch, fields)):
         raise ValueError(f"weights must be comma-separated integers, got {text!r}")
-    return WeightVector(values)
+    return WeightVector(tuple(map(int, fields)))
 
 
 def _json(obj) -> str:

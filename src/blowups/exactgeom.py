@@ -13,13 +13,14 @@ The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
 stand on them.  Inside `packed_residues(d, V)`, which the census enters per
-index at d >= 4, the kernels answer instead from `packed_classes`: one
-integer per weight value holds all its residues in w-bit fields with
-2^(w-1) > d*V, a few big-integer additions give the bitset of every class of
-a vector, and one mask per weight value, built from `place_class`'s test,
-keeps the classes in the closed or open simplex at eps.  A witness is a class
-k and its membership.  An independent brute-force scan of
-eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
+index at d >= 3, the kernels answer instead from `packed_classes`: one
+integer per weight value holds all its residues in w-bit fields, w the least
+width with 2^(w-1) > d*V, and one recurrence of big-integer additions builds
+all V+1 rows, (V+1)(V-1)*w bits, on entry.  A few more additions give the
+bitset of every class of a vector, and one mask per weight value, built from
+`place_class`'s test, keeps the classes in the closed or open simplex at eps.
+A witness is a class k and its membership.  An independent brute-force scan
+of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.
 """
 
@@ -37,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 EPS_ONE = Fraction(1)  # the kernels' default eps, known valid by identity
-_EPS_TEXT = re.compile(r"(\d+)(?:/(\d+))?")  # eps text, once stripped: an integer or p/q
+_EPS_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")  # eps text, once stripped: an integer or p/q
 
 
 class MembershipClass(Enum):
@@ -60,7 +61,7 @@ class OracleCapExceeded(RuntimeError):
 
 def checked_eps(eps: Fraction | int | str) -> Fraction:
     """eps as an exact Fraction, refused outside (0, 1], as a binary float, or
-    as text with a sign, a decimal point, an exponent or a zero denominator."""
+    as text other than an integer or p/q in ASCII digits with q > 0."""
     if type(eps) is Fraction:  # reduced, with a positive denominator
         if 0 < eps.numerator <= eps.denominator:
             return eps
@@ -167,32 +168,35 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
-class PackedRows(dict):
+class PackedRows(list):
     """The residues of every weight value at one index V, packed one int a value.
 
-    The row of a value v holds k*v mod V for k = 1..V-1, field k-1 at bit
-    width*(k-1); it is built the first time v is looked up.  The width is
-    the least multiple of 4 with 2^(width-1) > d*V, so a row is read from hex
-    digits and the fields of the sum of up to d rows cannot carry into each
-    other (see `packed_classes`).  `mask` holds the top bit of every field.
+    Item v = 0..V holds k*v mod V for k = 1..V-1, field k-1 at bit w*(k-1),
+    where w = `width` is the least with 2^(w-1) > d*V, so the fields of a sum
+    of up to d rows cannot carry (see `packed_classes`).  `mask` holds each
+    field's top bit.  One recurrence builds the rows: row 1 is the low V-1
+    fields of ones*ones, and row v+1 is row v plus row 1, less V in each
+    field that reaches V: the top bits of the sum plus (2^(w-1) - V)*ones,
+    since a field of the sum is below 2V <= 2^(w-1) and so carries into no
+    other.  The rows take (V+1)(V-1)*w bits, about 0.3 MB at d = 4, V = 419.
     """
 
     def __init__(self, d: int, V: int) -> None:
-        super().__init__()
         self.d, self.V = d, V
-        self.width = width = ((d * V).bit_length() + 4) // 4 * 4
-        field = f"0{width // 4}x"
-        self._digits = [format(r, field) for r in range(V)]
-        # "0" + keeps int() defined at V = 1, where a row has no field
-        self.mask = int("0" + format(1 << width - 1, field) * (V - 1), 16)
-        self._ones = self.mask >> width - 1  # 1 in every field
-        self.bias = ((1 << width - 1) - 1 - V) * self._ones
+        self.width = width = (d * V).bit_length() + 1
+        top, low = 1 << width - 1, (1 << width * (V - 1)) - 1
+        self._ones = ones = low // ((1 << width) - 1)
+        self.mask = mask = top * ones
+        self.bias = (top - 1 - V) * ones
+        reach = (top - V) * ones
+        row = step = (ones * ones) & low
+        rows = [0, step]
+        for _ in range(V - 1):
+            row += step
+            row -= (((row + reach) & mask) >> width - 1) * V
+            rows.append(row)
+        super().__init__(rows)
         self._verdict_masks: dict[tuple[int, int, bool], VerdictMasks] = {}
-
-    def __missing__(self, v: int) -> int:
-        V, digits = self.V, self._digits
-        row = self[v] = int("0" + "".join([digits[k * v % V] for k in range(V - 1, 0, -1)]), 16)
-        return row
 
     def verdict_masks(self, eps: Fraction, interior: bool) -> VerdictMasks:
         """The per-value masks of the closed or the open simplex at eps, made once."""
@@ -238,10 +242,10 @@ def packed_residues(d: int, V: int) -> Iterator[PackedRows]:
     """Answer `packed_classes`, and so the fast kernels, for vectors of index V
     and length <= d from packed rows.
 
-    The census enters this for one index at d >= 4 and leaves it when the
-    index is done, also on an exception; the rows and masks are dropped on
-    exit.  The rows are module state because the kernels keep their
-    one-argument call.
+    The census enters this for one index at d >= 3 and leaves it when the
+    index is done, also on an exception; every row is built on entry, and
+    the rows and masks are dropped on exit.  The rows are module state
+    because the kernels keep their one-argument call.
     """
     global _packed
     rows = PackedRows(d, V)
@@ -268,11 +272,9 @@ def packed_classes(
     result is ANDed with the `VerdictMasks` of each weight.  Outside such a
     block the result is None, and the caller takes the scalar pass.
 
-    The census enters a block at d >= 4, where an index has about V^3/144
-    candidates against at most V^2 residues in its rows; at d = 2 building
-    the rows costs more than it saves, at d = 3 about as much at eps = 1
-    (`search.PACKED_FROM_DIM`), and a single call would build them for one
-    vector only.
+    The census enters a block at d >= 3 (`search.PACKED_FROM_DIM`); at d = 2
+    an index has about V/2 candidates against V rows of V-1 fields, and a
+    single call would build every row for one vector only.
     """
     packed = _packed
     if packed is None:

@@ -23,13 +23,8 @@ from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
-# the least dimension whose census indices run inside `packed_residues`, so
-# that every verdict is one bitset (`exactgeom.packed_classes`, which says why
-# the rows pay off only from d = 4).  With the blocks forced lower (one
-# worker, best of 3, 2-CPU host, Python 3.11): d = 2, V <= 400 took 1.1-1.3 s
-# packed against 0.06-0.07 s scalar; d = 3, V <= 200 took 0.62 s against
-# 0.77 s terminal and 0.87 s against 0.81 s canonical
-PACKED_FROM_DIM = 4
+# d = 2 stays scalar: an index has about V/2 candidates against V rows of V-1 fields
+PACKED_FROM_DIM = 3
 
 
 class BudgetExceeded(RuntimeError):

@@ -50,9 +50,17 @@ def test_classify_witness_payload(capsys):
 def test_classify_exit_codes(capsys):
     assert run(capsys, "classify", "--weights", "2,4,6")[0] == 2
     assert run(capsys, "classify", "--weights", "2,0,5")[0] == 2
+    # int() would read an underscore or a non-ASCII digit
+    for weights in ("1_0,3", "2,\uff13,5", "\u0662,3"):
+        code, out, err = run(capsys, "classify", "--weights", weights)
+        assert (code, out) == (2, "")
+        assert err == f"error: weights must be comma-separated integers, got {weights!r}\n"
     # bad eps text reaches stderr with the message of `checked_eps`
     for eps, msg in (("0.3", "epsilon must be an integer or p/q fraction, got '0.3'"),
                      ("1e-1", "epsilon must be an integer or p/q fraction, got '1e-1'"),
+                     ("1/\uff12", "epsilon must be an integer or p/q fraction, got '1/\uff12'"),
+                     ("\u0661/\u0662",
+                      "epsilon must be an integer or p/q fraction, got '\u0661/\u0662'"),
                      ("1/0", "epsilon denominator is zero"),
                      ("3/2", "eps must be a rational in (0, 1], got 3/2")):
         code, out, err = run(capsys, "classify", "--weights", "2,3,5", "--epsilon", eps)

@@ -92,7 +92,9 @@ def test_checked_eps_text():
     assert checked_eps("1") == 1 and str(checked_eps("1/2")) == "1/2"
     assert checked_eps(" 1/2 ") == checked_eps("2/4") == F(1, 2)
     # pytest.raises(ValueError) does not catch ZeroDivisionError
-    for bad in ("0.5", "0", "3/2", "1/0", "-1/2", "x", "1e-1", "+1/2"):
+    # int() would read a fullwidth or Arabic-Indic digit, or an underscore
+    for bad in ("0.5", "0", "3/2", "1/0", "-1/2", "x", "1e-1", "+1/2",
+                "1/\uff12", "\u0661/\u0662", "1_0/20"):
         with pytest.raises(ValueError):
             checked_eps(bad)
     with pytest.raises(ValueError, match="^epsilon denominator is zero$"):
@@ -327,15 +329,35 @@ def _packed_placed(w, rows):
 def _packed_classes(w, d=None):
     """The bitsets of w at every eps, in a block of its own index for vectors of length <= d."""
     with packed_residues(d or w.d, w.V) as rows:
-        got = _packed_placed(w, rows)
-        assert rows  # the block built the rows of w
-    return got
+        assert packed_classes(w.n) is not None  # the block answers for w
+        return _packed_placed(w, rows)
 
 
 def _check_packed_against_scalar(w):
     scalar = _scalar_placed(w)
     assert _packed_classes(w) == scalar, w.n
     return scalar
+
+
+def _row_fields(bits, width, count):
+    return [bits >> width * i & (1 << width) - 1 for i in range(count)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_packed_rows_hold_every_residue(d):
+    # every field of every row v = 0..V is k*v mod V, and nothing lies above
+    # them: V <= 60, V = 419, and both sides of each width edge d*V = 2^j
+    # above V = 60, up to d*V = 512
+    edges = {V for j in range(7, 10) for V in ((2**j - 1) // d, -(-2**j // d))}
+    for V in sorted({*range(1, 61), 419, *edges}):
+        rows = PackedRows(d, V)
+        w = rows.width
+        assert 2 ** (w - 1) > d * V >= 2 ** (w - 2) and len(rows) == V + 1
+        for v, row in enumerate(rows):
+            assert _row_fields(row, w, V - 1) == [k * v % V for k in range(1, V)], (V, v)
+            assert row >> w * (V - 1) == 0, (V, v)
+        assert _row_fields(rows.mask, w, V - 1) == [1 << w - 1] * (V - 1)
+        assert _row_fields(rows.bias, w, V - 1) == [(1 << w - 1) - 1 - V] * (V - 1)
 
 
 def _verdicts_at_every_eps(w):
@@ -362,15 +384,20 @@ def test_packed_pass_matches_scalar_sampled(w):
 
 
 def test_packed_field_width_edges():
-    # d*V = 124 fits 8-bit fields, d*V = 128 needs 12 bits
+    # d*V = 124 fits 8-bit fields, d*V = 128 needs 9 bits
     for V in (31, 32):
         for w in enumerate_blowups(4, V):
             _check_packed_against_scalar(w)
-    assert [PackedRows(4, V).width for V in (31, 32)] == [8, 12]
-    # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do
-    assert [PackedRows(4, V).width for V in (8191, 8193)] == [16, 20]
-    for n in ((1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)):
-        _check_packed_against_scalar(WeightVector(n))
+    assert [PackedRows(4, V).width for V in (31, 32)] == [8, 9]
+    # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do; the rows
+    # at V = 8,193 take 140 MB, so its vectors share one block
+    with packed_residues(4, 8191) as rows:
+        assert rows.width == 16
+    large = [(1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)]
+    with packed_residues(4, 8193) as rows:
+        assert rows.width == 17
+        packed = [_packed_placed(WeightVector(n), rows) for n in large]
+    assert packed == [_scalar_placed(WeightVector(n)) for n in large]
     # the d = 2 vector (1, V), every class of which is in the closed simplex
     # at eps = 1, and V = 1
     for V in (1, 2, 7, 64, 419):
@@ -387,12 +414,12 @@ def test_packed_state_is_dropped_and_scoped_to_its_index():
     for w in (other, wide):
         assert packed_classes(w.n) is None  # outside any block
     verdicts = [_verdicts_at_every_eps(w) for w in (other, wide)]
-    with packed_residues(4, 30) as rows:
+    with packed_residues(4, 30):
         for w in (other, wide):
             assert packed_classes(w.n) is None
             assert packed_classes(w.n, F(1, 2), interior=True) is None
         assert [_verdicts_at_every_eps(w) for w in (other, wide)] == verdicts
-        assert not rows  # neither vector built a row
+        assert packed_classes((1, 2, 3, 25)) is not None  # on its index, the block answers
     assert exactgeom._packed is None
     with pytest.raises(RuntimeError):
         with packed_residues(4, 30):

@@ -137,6 +137,20 @@ GOLDEN = [
     (("census", "--threads", "1", "--dim", "4", "--vmin", "100", "--vmax", "102",
       "--epsilon", "4/5", "--verdict", "eps-lt"),
      "3f4a9a158a5f90fa405f47fb2a021c0cd6e4257e4a8f0919c092223e4ab14c77", 0),
+    # taken while d = 3 censuses still took the scalar pass and packed rows
+    # had hex-digit fields: d = 3 in three verdicts, across V = 171, where
+    # d*V passes 512, and d = 4 across V = 128, where it does the same
+    (("census", "--threads", "1", "--dim", "3", "--vmax", "120", "--verdict", "canonical"),
+     "2f1d296186bade59d914ff5fe2e1b4225886841850d2f7285672426a7d6a0bfb", 0),
+    (("census", "--threads", "1", "--dim", "3", "--vmin", "168", "--vmax", "173",
+      "--epsilon", "4/5", "--verdict", "eps-lt"),
+     "ba77bb6ce594572193caa66cdb003549c23c257f0b4789114a5e63e3fc5f89dd", 0),
+    (("census", "--threads", "1", "--dim", "3", "--vmin", "168", "--vmax", "173",
+      "--epsilon", "1/2", "--verdict", "eps-lc"),
+     "6622fe1d15b18851b6fa70c1663d6db2f25d4e05aad74e5ddfa2dd544f818e3e", 0),
+    (("census", "--threads", "1", "--dim", "4", "--vmin", "126", "--vmax", "130",
+      "--verdict", "canonical"),
+     "96006d9a1bbc8e8447afbf95848666a0e5de33a7e012e860d3998ad71b4c6c94", 0),
 ]
 
 

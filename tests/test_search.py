@@ -186,8 +186,8 @@ def test_census_refuses_workers_below_one(monkeypatch, workers):
         run_census(CensusQuery(d=3, v_max=5), workers=workers)
 
 
-@pytest.mark.parametrize("d,packed", [(3, False), (4, True), (5, True)])
-def test_census_block_packs_each_index_at_d4_and_up(monkeypatch, d, packed):
+@pytest.mark.parametrize("d,packed", [(2, False), (3, True), (4, True), (5, True)])
+def test_census_block_packs_each_index_from_d3(monkeypatch, d, packed):
     seen = []
     kernel = search.is_terminal_fast
 
