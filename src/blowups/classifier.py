@@ -77,7 +77,7 @@ def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     if inside is not None:
         return not inside
     eps = checked_eps(eps)
-    return all(place_class(n, k, z, eps) is OUTSIDE for k, z in residue_classes(n))
+    return all(place_class(n, k, eps) is OUTSIDE for k in residue_classes(n))
 
 
 def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
@@ -91,7 +91,7 @@ def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     if inside is not None:
         return not inside
     eps = checked_eps(eps)
-    return all(place_class(n, k, z, eps) is not INTERIOR for k, z in residue_classes(n))
+    return all(place_class(n, k, eps) is not INTERIOR for k in residue_classes(n))
 
 
 def kawakita_form(n: WeightVector) -> bool:

@@ -5,7 +5,8 @@ byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
 terminal blowup above the smallest-weight bound, 2 usage or invalid input
 (an unreadable input file or unwritable `--out` included), 3 resource budget
 exceeded, 4 data integrity failure.  Commands return (text, exit code);
-`main` alone writes the text, to stdout or `--out`, and maps failures.
+`main` alone writes the text, to stdout or `--out`, and maps the errors
+above to codes; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -13,25 +14,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
-from .exactgeom import WeightVector, frac_point
+from .exactgeom import WeightVector, ascii_int, frac_point
 from .families import scan_families
 from .search import VERDICTS, BudgetExceeded, CensusQuery, run_census
 
 DATASET_ENV = "BLOWUPS_SPORADIC_DATA"
-_WEIGHT_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() text, less "_" and non-ASCII digits
 
 
 def parse_weights(text: str) -> WeightVector:
-    fields = text.split(",")
-    if not all(map(_WEIGHT_TEXT.fullmatch, fields)):
-        raise ValueError(f"weights must be comma-separated integers, got {text!r}")
-    return WeightVector(tuple(map(int, fields)))
+    try:
+        n = tuple(map(ascii_int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"weights must be comma-separated integers, got {text!r}") from None
+    return WeightVector(n)
 
 
 def _json(obj) -> str:
@@ -222,31 +222,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1", help="rational in (0,1], e.g. 1 or 1/2")
 
     p = command("census", cmd_census, "exhaustive census over an index range")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--vmax", type=int, required=True)
-    p.add_argument("--vmin", type=int, default=CensusQuery.v_min)
+    p.add_argument("--dim", type=ascii_int, required=True)
+    p.add_argument("--vmax", type=ascii_int, required=True)
+    p.add_argument("--vmin", type=ascii_int, default=CensusQuery.v_min)
     p.add_argument("--epsilon", default=CensusQuery.eps)
     p.add_argument("--verdict", default=CensusQuery.verdict, choices=VERDICTS)
-    p.add_argument("--min-weight", type=int, default=CensusQuery.min_weight)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget", type=int, default=CensusQuery.budget,
+    p.add_argument("--min-weight", type=ascii_int, default=CensusQuery.min_weight)
+    p.add_argument("--threads", type=ascii_int, default=os.cpu_count() or 1)
+    p.add_argument("--budget", type=ascii_int, default=CensusQuery.budget,
                    help="most residue steps, candidates x dim x vmax (default 10^11)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = command("family", cmd_family, "instantiate one family row (or query its bound)")
     p.add_argument("--id", required=True)
-    p.add_argument("--apex", type=int, required=True)
-    p.add_argument("--volume", type=int, default=None)
+    p.add_argument("--apex", type=ascii_int, required=True)
+    p.add_argument("--volume", type=ascii_int, default=None)
     p.add_argument("--sign", default="+", choices=["+", "-"])
 
     command("family-table", cmd_family_table, "audit CSV of the 46 family rows")
 
     p = command("family-scan", cmd_family_scan, "scan all rows/apices/signs up to an index")
-    p.add_argument("--vmax", type=int, default=300)
+    p.add_argument("--vmax", type=ascii_int, default=300)
 
     p = command("width", cmd_width, "facet widths of a projected configuration")
     p.add_argument("--points", required=True, help="JSON array of integer points")
-    p.add_argument("--origin-index", type=int, default=0)
+    p.add_argument("--origin-index", type=ascii_int, default=0)
 
     p = command("sporadic", cmd_sporadic, "blowup histogram of a sporadic-simplex dataset")
     p.add_argument("--input", default=None,
@@ -277,10 +277,6 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # str() of a KeyError quotes its message as a repr; print the message
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

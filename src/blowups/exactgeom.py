@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -82,6 +83,14 @@ def checked_eps(eps: Fraction | int | str) -> Fraction:
     return eps
 
 
+def ascii_int(text: str) -> int:
+    """An integer from text: an optional sign and the ASCII digits 0-9, with
+    surrounding whitespace, which is what `int` reads in ASCII text with no "_"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 class ZeroWeightError(ValueError):
     """A weight below 1 is a degenerate blowup and is refused, not classified."""
 
@@ -110,7 +119,7 @@ class WeightVector:
     def d(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property  # in the instance dict, which equality, hash and repr never read
     def V(self) -> int:
         return sum(self.n) - 1
 
@@ -294,19 +303,18 @@ def packed_classes(
     return free
 
 
-def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
-    """The classes k in [1, V-1] with s(k) <= V, each with z(k): the residue pass.
+def residue_classes(n: WeightVector) -> Iterator[int]:
+    """The classes k in [1, V-1] with s(k) = sum_i (k*n_i mod V) <= V: the residue pass.
 
-    s(k) = sum_i (k*n_i mod V) and z(k) counts the residues that vanish.  No
-    other class meets the simplex at any eps = a/b: the scaled coordinates
+    No other class meets the simplex at any eps = a/b: the scaled coordinates
     ybar_i = b*(k*n_i mod V) - (b-a)*n_i of frac(k*p) sum to b*s - (b-a)*(V+1),
     so the apex inequality sum ybar_i <= a*V reads s <= V + (b-a)/b, and since
     s is an integer, s(k) <= V.
 
     The pass visits only k <= V//2: the residues of k and V-k add up to V
-    unless both vanish, so z(V-k) = z(k) and s(V-k) = (d - z)*V - s(k).  At
-    even V the class V/2 is its own complement and is yielded once.  Classes
-    come in pairs (k, V-k), not in k order.
+    unless both vanish, so with z(k) zero residues s(V-k) = (d - z)*V - s(k).
+    At even V the class V/2 is its own complement and is yielded once.
+    Classes come in pairs (k, V-k), not in k order.
     """
     w = n.n
     V = sum(w) - 1
@@ -320,26 +328,22 @@ def residue_classes(n: WeightVector) -> Iterator[tuple[int, int]]:
             else:
                 z += 1
         if s <= V:
-            yield k, z
+            yield k
         if s + z * V >= top and k + k != V:
-            yield V - k, z
+            yield V - k
 
 
-def place_class(n: WeightVector, k: int, z: int, eps: Fraction) -> MembershipClass:
+def place_class(n: WeightVector, k: int, eps: Fraction) -> MembershipClass:
     """Where the point frac(k*p) of a class from `residue_classes` lies at eps = a/b.
 
     The apex coordinate a*V - sum ybar_i is positive: it is 0 only if b
     divides b-a, so eps = 1 and s(k) = V, but s(k) is congruent to k mod V.
-    So the signs of the ybar_i decide.  At eps = 1 they are the residues;
-    below 1 a zero residue makes ybar_i = -(b-a)*n_i negative.  The point is
-    no vertex: every ybar_i = 0 needs b | n_i for all i, so b = 1 and V | k.
+    So the signs of the ybar_i decide, at every eps: at eps = 1 they are the
+    residues, and below 1 a zero residue gives ybar_i = -(b-a)*n_i < 0.  The
+    point is no vertex: every ybar_i = 0 needs b | n_i for all i, so b = 1
+    and V | k.
     """
-    a, b = eps.numerator, eps.denominator
-    if a == b:
-        return BOUNDARY if z else INTERIOR
-    if z:
-        return OUTSIDE
-    V = n.V
+    a, b, V = eps.numerator, eps.denominator, n.V
     on_facet = False
     for ni in n.n:
         y = b * (k * ni % V) - (b - a) * ni
@@ -365,8 +369,8 @@ def lattice_points_in_shrunk_simplex(
     k >= 1 has one candidate, frac(k*p), which the residue pass decides.
     """
     eps = checked_eps(eps)
-    placed = [(k, place_class(n, k, z, eps)) for k, z in residue_classes(n)]
-    return [LatticeWitness(k, m) for k, m in sorted(placed) if m is not OUTSIDE]
+    placed = [(k, place_class(n, k, eps)) for k in sorted(residue_classes(n))]
+    return [LatticeWitness(k, m) for k, m in placed if m is not OUTSIDE]
 
 
 def brute_force_lattice_points(

@@ -122,7 +122,7 @@ def get_quintuple(label: str) -> Quintuple:
     try:
         return _BY_LABEL[label]
     except KeyError:
-        raise KeyError(f"unknown quintuple label {label!r}") from None
+        raise ValueError(f"unknown quintuple label {label!r}") from None
 
 
 def sign_choices(q: Quintuple) -> tuple[int, ...]:

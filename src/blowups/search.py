@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
@@ -163,15 +163,11 @@ def _candidates_lower_bound(q: CensusQuery) -> int:
     return total // factorial(e)
 
 
-def _predicate(q: CensusQuery) -> Callable[[WeightVector], bool]:
-    kernel = is_terminal_fast if q.verdict in ("terminal", "eps-lt") else is_canonical_fast
-    # called bare at eps = 1, the kernel keeps its default eps and skips the check
-    return kernel if q.eps == 1 else partial(kernel, eps=q.eps)
-
-
 def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[WeightVector]]:
     q, V = args
-    passes = _predicate(q)
+    kernel = is_terminal_fast if q.verdict in ("terminal", "eps-lt") else is_canonical_fast
+    # called bare at eps = 1, the kernel keeps its default eps and skips the check
+    passes = kernel if q.eps == 1 else partial(kernel, eps=q.eps)
     counts: dict[int, int] = {}
     hits: list[WeightVector] = []
     with packed_residues(q.d, V) if q.d >= PACKED_FROM_DIM else nullcontext():

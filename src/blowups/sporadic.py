@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exactgeom import WeightVector
+from .exactgeom import WeightVector, ascii_int
 from .families import APICES, apex_residues
 from .search import Histogram
 
@@ -64,7 +64,7 @@ EMBEDDED_RECORDS: tuple[SporadicRecord, ...] = (
 
 
 def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord]:
-    """Read records, one per line: V followed by five residues.
+    """Read records, one per line: V and five residues, in ASCII digits (`ascii_int`).
 
     Liberal mode accepts comma or whitespace separators, '#' comment lines and
     unreduced residues (they are reduced mod V).  Strict mode pins one
@@ -81,7 +81,7 @@ def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord
             continue
         fields = line.split() if strict else line.replace(",", " ").split()
         try:
-            V, *b = map(int, fields)
+            V, *b = map(ascii_int, fields)
             if not strict and V:  # V = 0 is left for SporadicRecord to refuse
                 b = [x % V for x in b]
             records.append(SporadicRecord(V, tuple(b)))

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowups import families
+from blowups.classifier import is_terminal_fast
 from blowups.cli import main, parse_weights
 from blowups.search import CensusQuery, run_census
 
@@ -208,6 +210,36 @@ def test_census_rejects_threads_below_one(capsys):
         assert err == f"error: workers must be at least 1, got {threads}\n"
 
 
+def test_integer_options_take_ascii_digits_only(capsys):
+    # int() would read a fullwidth digit or an underscore; argparse refuses
+    # them before any command runs, as it does any other malformed integer
+    valid = {
+        "census": ("--dim", "3", "--vmax", "5", "--threads", "1"),
+        "family": ("--id", "Q29", "--apex", "2", "--volume", "37"),
+        "family-scan": ("--vmax", "5"),
+        "width": ("--points", "[[0],[1]]"),
+    }
+    options = {
+        "census": ("--dim", "--vmax", "--vmin", "--min-weight", "--threads", "--budget"),
+        "family": ("--apex", "--volume"),
+        "family-scan": ("--vmax",),
+        "width": ("--origin-index",),
+    }
+    for command, opts in options.items():
+        assert main([command, *valid[command]]) == 0
+        capsys.readouterr()
+        for opt in opts:
+            for bad in ("\uff120", "1_0", "3_7", "\uff12"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, *valid[command], opt, bad])
+                out, err = capsys.readouterr()
+                assert exc.value.code == 2 and out == ""
+                assert err.endswith(f"error: argument {opt}: invalid ascii_int value: {bad!r}\n")
+    # a sign and surrounding whitespace are integer text
+    code, out, _ = run(capsys, "family", "--id", "Q29", "--apex", " +2 ", "--volume", "37")
+    assert code == 0 and json.loads(out)["weights"] == [7, 6, 10, 15]
+
+
 def test_census_out_file(tmp_path, capsys):
     target = tmp_path / "census.json"
     code, out, _ = run(capsys, "census", "--dim", "2", "--vmax", "10",
@@ -245,10 +277,18 @@ def test_family_bound_mode(capsys):
     assert code == 0 and json.loads(out)["bound"] == "9"
 
 
-def test_family_unknown_id(capsys):
+def test_family_unknown_id(capsys, monkeypatch):
     code, _, err = run(capsys, "family", "--id", "Q99", "--apex", "1")
     assert code == 2
     assert err == "error: unknown quintuple label 'Q99'\n"
+
+    # only documented errors map to exit codes: a KeyError is a bug, not bad input
+    def failing(label, apex):
+        raise KeyError(label)
+
+    monkeypatch.setattr(families, "bound_dim1", failing)
+    with pytest.raises(KeyError):
+        main(["family", "--id", "Q2", "--apex", "3"])
 
 
 def test_family_table(capsys):
@@ -266,15 +306,20 @@ def test_family_scan_small(capsys):
 
 
 def test_family_scan_violation_exit(capsys, monkeypatch):
-    violation = {"id": "Q1", "apex": 1, "V": 7, "sign": "+",
-                 "weights": [7, 7, 8, 9], "n_min": 7}
-    monkeypatch.setattr(
-        "blowups.cli.scan_families",
-        lambda v_max: {"v_max": v_max, "blowups": 1, "terminal": 1,
-                       "max_terminal_n_min": 7, "violations": [violation]},
-    )
-    code, out, _ = run(capsys, "family-scan", "--vmax", "7")
-    assert code == 1 and json.loads(out)["violations"] == [violation]
+    # no blowup of the 46 rows has a smallest weight above 6, terminal or not,
+    # so the scan runs over one constant row whose apex-5 blowup at V = 245 is
+    # the terminal sporadic maximiser (32, 41, 71, 102)
+    row = families.Quintuple("S245", (32, 41, 71, 102, -246), (0,) * 5, 1)
+    monkeypatch.setattr(families, "_TABLE", (row,))
+    monkeypatch.setitem(families._BY_LABEL, row.label, row)
+    doc = families.scan_families(245)
+    assert doc["violations"][-1] == {"id": "S245", "apex": 5, "V": 245, "sign": "+",
+                                     "weights": [32, 41, 71, 102], "n_min": 32}
+    for v in doc["violations"]:
+        w = families.blowup_from_quintuple(v["id"], v["apex"], v["V"])
+        assert list(w.n) == v["weights"] and is_terminal_fast(w) and w.n_min == v["n_min"] > 6
+    code, out, _ = run(capsys, "family-scan", "--vmax", "245")
+    assert code == 1 and json.loads(out) == doc
 
 
 def test_family_scan_refuses_empty_range(capsys):

@@ -58,7 +58,7 @@ def test_table_verbatim_rows():
     n1 = get_quintuple("N1")
     assert n1.base == (6, 1, -2, -2, -3)
     assert (n1.nums, n1.index) == ((1, 0, 0, 1, 0), 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown quintuple label 'Q30'$"):
         get_quintuple("Q30")
 
 

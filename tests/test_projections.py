@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowups import cli, projections
 from blowups.projections import ProjectedConfig, ell_L
@@ -19,6 +19,8 @@ TRIANGLE3 = ProjectedConfig(((0, 0), (2, 0), (0, 2)))
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="^empty configuration$"):
+        ProjectedConfig(())
     with pytest.raises(ValueError):
         ProjectedConfig(((0, 0), (0, 0), (0, 0)))  # all equal: degenerate
     with pytest.raises(ValueError):
@@ -215,6 +217,8 @@ def configurations(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(configurations())
+# three collinear points in Z^3: a 3-subset with no normal is skipped
+@example((((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)), 3, 0))
 def test_facets_match_elimination_reference(data):
     pts, k, origin = data
     valid = _affine_rank(pts) == k

@@ -35,6 +35,9 @@ def test_enumerate_examples():
     assert [w.n for w in enumerate_blowups(3, 5)] == [(1, 1, 4), (1, 2, 3)]
     assert [w.n for w in enumerate_blowups(2, 1)] == [(1, 1)]
     assert (6, 7, 10, 15) in {w.n for w in enumerate_blowups(4, 37)}
+    for d, V in ((1, 5), (0, 5), (3, 0), (2, -1)):
+        with pytest.raises(ValueError, match="^need d >= 2 and V >= 1$"):
+            next(enumerate_blowups(d, V))
 
 
 def test_enumerate_lex_order_and_shape():

@@ -147,6 +147,13 @@ def test_parse_malformed_reports_line(tmp_path):
     q.write_text("245 32 x 71 102 244\n")
     with pytest.raises(DatasetFormatError):
         parse_dataset(q)
+    # int() would read a fullwidth digit or an underscore, in either mode
+    for line in ("\uff1245 32 41 71 102 244", "245 32 41 71 1_02 244",
+                 "245 32 41 71 102 \u0662\u0664\u0664"):
+        q.write_text(f"37 6 10 15 7 36\n{line}\n")
+        for strict in (False, True):
+            with pytest.raises(DatasetFormatError, match="^line 2: .*in ASCII digits"):
+                parse_dataset(q, strict=strict)
 
 
 def test_parse_integrity_violation_is_fatal(tmp_path):
