@@ -6,8 +6,9 @@ the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 reports a witness from the coset enumeration; `is_terminal_fast` and
 `is_canonical_fast` stop at the first class that decides the verdict.  All
 three stand on the residue pass `exactgeom.residue_classes`, at every eps;
-each kernel has two paths: `place_class` over that pass, or inside a census
-block (`exactgeom.packed_residues`) one bitset, `exactgeom.packed_classes`.
+each kernel has two paths: `place_class` over that pass, or, inside a census
+block (`exactgeom.packed_residues`) of its own eps and verdict, one bitset,
+`exactgeom.packed_classes`.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
 def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     """eps-log terminal: no class of the residue pass lies in the simplex.
 
-    Inside a `packed_residues` block no bit of `packed_classes` survives,
-    elsewhere `place_class` puts every class outside; at eps = 1 this is the
-    Reid-Tai test s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
+    Inside a closed `packed_residues` block at eps no bit of `packed_classes`
+    survives, elsewhere `place_class` puts every class outside; at eps = 1
+    this is the Reid-Tai test s(k) = sum_i (k*n_i mod V) > V for every k in
+    [1, V-1].
     """
     inside = packed_classes(n.n, eps)
     if inside is not None:
@@ -83,9 +85,9 @@ def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
 def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     """eps-log canonical: no class of the residue pass lies in the interior.
 
-    Inside a `packed_residues` block no bit of `packed_classes` of the
-    interior survives, elsewhere `place_class` puts no class in the interior;
-    at eps = 1 that is a class with no zero residue.
+    Inside an interior `packed_residues` block at eps no bit of
+    `packed_classes` survives, elsewhere `place_class` puts no class in the
+    interior; at eps = 1 that is a class with no zero residue.
     """
     inside = packed_classes(n.n, eps, interior=True)
     if inside is not None:

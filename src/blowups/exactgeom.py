@@ -12,13 +12,14 @@ and p + eps*(e_i - p).
 The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
-stand on them.  Inside `packed_residues(d, V)`, which the census enters per
-index at d >= 3, the kernels answer instead from `packed_classes`: one
-integer per weight value holds all its residues in w-bit fields, w the least
-width with 2^(w-1) > d*V, and one recurrence of big-integer additions builds
-all V+1 rows, (V+1)(V-1)*w bits, on entry.  A few more additions give the
-bitset of every class of a vector, and one mask per weight value, built from
-`place_class`'s test, keeps the classes in the closed or open simplex at eps.
+stand on them.  Inside `packed_residues(d, V, eps, interior)`, which the
+census enters for an index with at least V candidates, the kernels answer
+instead from `packed_classes`: one integer per weight value holds all its
+residues in w-bit fields, w the least width with 2^(w-1) > d*V, each residue
+that fails the block's one verdict at eps replaced by V + 1.  One recurrence
+of big-integer additions builds all V+1 rows, (V+1)(V-1)*w bits, on entry,
+and a few more additions give the bitset of the classes of a vector that lie
+in the closed or open simplex, at every eps by the same top-bit test.
 A witness is a class k and its membership.  An independent brute-force scan
 of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.
@@ -178,23 +179,36 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
 
 
 class PackedRows(list):
-    """The residues of every weight value at one index V, packed one int a value.
+    """The residues of every weight value at one index V, packed one int a
+    value, with one verdict at eps = a/b folded in.
 
-    Item v = 0..V holds k*v mod V for k = 1..V-1, field k-1 at bit w*(k-1),
-    where w = `width` is the least with 2^(w-1) > d*V, so the fields of a sum
-    of up to d rows cannot carry (see `packed_classes`).  `mask` holds each
-    field's top bit.  One recurrence builds the rows: row 1 is the low V-1
-    fields of ones*ones, and row v+1 is row v plus row 1, less V in each
-    field that reaches V: the top bits of the sum plus (2^(w-1) - V)*ones,
-    since a field of the sum is below 2V <= 2^(w-1) and so carries into no
-    other.  The rows take (V+1)(V-1)*w bits, about 0.3 MB at d = 4, V = 419.
+    Item v = 0..V holds in field k-1, at bit w*(k-1), the residue k*v mod V
+    of k = 1..V-1, or V + 1 where it fails the verdict: the point of class k
+    lies in the closed simplex iff b*(k*v mod V) >= (b-a)*v for every weight
+    v, and in its interior iff each inequality is strict (`place_class`), so
+    a residue fails below the least t that meets the inequality of v.  At
+    eps = 1 in the closed simplex t = 0, and no row changes.  The width
+    w = `width` is the least with 2^(w-1) > d*V; `mask` holds each field's
+    top bit.  No sum of rows carries: with `bias`, field k-1 of the rows of a
+    vector of m <= d weights is s'(k) + 2^(w-1) - 1 - V, where s'(k) is s(k)
+    if no residue fails and above V otherwise; each field holds at most
+    V + 1 and m <= V + 1, as the weights are positive and sum to V + 1, so
+    s'(k) <= m*(V+1) <= d*V + V + 1 < 2^(w-1) + V + 1, and 2^(w-1) > V.  The
+    top bit is thus clear exactly when s'(k) <= V: when the class lies in
+    the simplex.
+
+    Row 1 is the low V-1 fields of ones*ones, and row v+1 is row v plus row
+    1, less V in each field that reaches V: the top bits of the sum plus
+    (2^(w-1) - V)*ones, as a field of the sum is below 2V <= 2^(w-1).  In
+    the same way a residue fails where the row plus (2^(w-1) - t)*ones
+    leaves the top bit clear, as 0 <= t <= V.  The rows take (V+1)(V-1)*w
+    bits, about 0.3 MB at d = 4, V = 419.
     """
 
-    def __init__(self, d: int, V: int) -> None:
-        self.d, self.V = d, V
+    def __init__(self, d: int, V: int, eps: Fraction = EPS_ONE, interior: bool = False):
         self.width = width = (d * V).bit_length() + 1
         top, low = 1 << width - 1, (1 << width * (V - 1)) - 1
-        self._ones = ones = low // ((1 << width) - 1)
+        ones = low // ((1 << width) - 1)
         self.mask = mask = top * ones
         self.bias = (top - 1 - V) * ones
         reach = (top - V) * ones
@@ -204,61 +218,42 @@ class PackedRows(list):
             row += step
             row -= (((row + reach) & mask) >> width - 1) * V
             rows.append(row)
+        a, b, field = eps.numerator, eps.denominator, (1 << width) - 1
+        for v, row in enumerate(rows):
+            c = (b - a) * v  # t is the least residue that meets the inequality of v
+            t = c // b + 1 if interior else -(-c // b)
+            if t:
+                fails = (mask & ~(row + (top - t) * ones)) >> width - 1
+                rows[v] = row & ~(fails * field) | fails * (V + 1)
         super().__init__(rows)
-        self._verdict_masks: dict[tuple[int, int, bool], VerdictMasks] = {}
-
-    def verdict_masks(self, eps: Fraction, interior: bool) -> VerdictMasks:
-        """The per-value masks of the closed or the open simplex at eps, made once."""
-        key = (eps.numerator, eps.denominator, interior)
-        masks = self._verdict_masks.get(key)
-        if masks is None:
-            masks = self._verdict_masks[key] = VerdictMasks(self, *key)
-        return masks
 
 
-class VerdictMasks(dict):
-    """Per weight value v, the top bits of the fields k that `place_class` keeps.
-
-    At eps = a/b the point of class k lies in the closed simplex iff
-    b*(k*v mod V) >= (b-a)*v for every weight v, and in its interior iff
-    each inequality is strict (`place_class`; a zero residue fails both when
-    a < b, and only the strict one at eps = 1).  So the mask of v keeps the
-    fields whose residue reaches the least integer t that satisfies its
-    inequality.  It is built from the row of v: adding 2^(width-1) - t to
-    every field sets the top bit exactly where k*v mod V >= t, and carries
-    into no other field, as 0 <= t <= v <= V and 2^(width-1) > 2*V.
-    """
-
-    def __init__(self, rows: PackedRows, a: int, b: int, interior: bool) -> None:
-        super().__init__()
-        self.rows, self.a, self.b, self.interior = rows, a, b, interior
-
-    def __missing__(self, v: int) -> int:
-        rows, c = self.rows, (self.b - self.a) * v
-        t = c // self.b + 1 if self.interior else -(-c // self.b)
-        mask = self[v] = (rows[v] + ((1 << rows.width - 1) - t) * rows._ones) & rows.mask
-        return mask
-
-
-# the block `packed_classes` reads: (rows, row getter, V + 1, d, mask, bias),
-# with the getter bound once so that `map` builds no method wrapper per vector;
-# set by `packed_residues`
-_packed: tuple[PackedRows, Callable[[int], int], int, int, int, int] | None = None
+# the block `packed_classes` reads: (row getter, V + 1, d, mask, bias, eps,
+# interior), with the getter bound once so that `map` builds no method wrapper
+# per vector; set by `packed_residues`
+_packed: tuple[Callable[[int], int], int, int, int, int, Fraction, bool] | None = None
 
 
 @contextmanager
-def packed_residues(d: int, V: int) -> Iterator[PackedRows]:
+def packed_residues(
+    d: int, V: int, eps: Fraction | int = EPS_ONE, interior: bool = False
+) -> Iterator[PackedRows]:
     """Answer `packed_classes`, and so the fast kernels, for vectors of index V
-    and length <= d from packed rows.
+    and length <= d at eps, in the closed simplex or its interior, from packed
+    rows with that verdict folded in.
 
-    The census enters this for one index at d >= 3 and leaves it when the
-    index is done, also on an exception; every row is built on entry, and
-    the rows and masks are dropped on exit.  The rows are module state
-    because the kernels keep their one-argument call.
+    The census enters this for an index with at least V candidates and leaves
+    it when the index is done, also on an exception; every row is built on
+    entry and dropped on exit.  The rows are module state because the kernels
+    keep their one-argument call, and eps = 1 is held as `EPS_ONE`, so that a
+    bare kernel call matches the block by identity.
     """
     global _packed
-    rows = PackedRows(d, V)
-    saved, _packed = _packed, (rows, rows.__getitem__, V + 1, d, rows.mask, rows.bias)
+    eps = checked_eps(eps)
+    eps = EPS_ONE if eps == EPS_ONE else eps
+    rows = PackedRows(d, V, eps, interior)
+    saved = _packed
+    _packed = (rows.__getitem__, V + 1, d, rows.mask, rows.bias, eps, interior)
     try:
         yield rows
     finally:
@@ -271,36 +266,22 @@ def packed_classes(
     """The classes of w in the closed simplex at eps, or in its interior, as a bitset.
 
     Class k is bit width*k - 1 of the result, the top bit of field k-1 of
-    the rows.  Inside `packed_residues(d, V)`, for a vector of index V and at
-    most d weights, the sum of its rows plus a bias of 2^(w-1) - 1 - V in
-    each w-bit field holds s(k) + 2^(w-1) - 1 - V in field k-1.  As
-    0 <= s(k) <= d*(V-1) and 2^(w-1) > d*V, each field lies in [0, 2^w), so
-    no field carries into the next, and its top bit is clear exactly when
-    s(k) <= V: `mask & ~(rows + bias)` holds the classes of `residue_classes`.
-    At eps = 1 every one of them lies in the closed simplex; otherwise the
-    result is ANDed with the `VerdictMasks` of each weight.  Outside such a
-    block the result is None, and the caller takes the scalar pass.
-
-    The census enters a block at d >= 3 (`search.PACKED_FROM_DIM`); at d = 2
-    an index has about V/2 candidates against V rows of V-1 fields, and a
-    single call would build every row for one vector only.
+    the rows.  Inside `packed_residues(d, V, eps, interior)`, for a vector of
+    index V and at most d weights, the top bit of a field of the sum of its
+    rows plus the bias is clear exactly when its class lies in the simplex
+    (see `PackedRows`), so `mask & ~(rows + bias)` holds those classes.  For
+    another index, length, eps or verdict the result is None, and the caller
+    takes the scalar pass; an eps not identical to the block's is checked.
     """
     packed = _packed
     if packed is None:
         return None
-    rows, row, size, d, mask, bias = packed
+    row, size, d, mask, bias, block_eps, block_interior = packed
     if sum(w) != size or len(w) > d:
         return None
-    free = mask & ~sum(map(row, w), bias)
-    if eps is not EPS_ONE:
-        eps = checked_eps(eps)
-    elif not interior:
-        return free
-    if free and (interior or eps.numerator != eps.denominator):
-        masks = rows.verdict_masks(eps, interior)
-        for v in w:
-            free &= masks[v]
-    return free
+    if eps is not block_eps and checked_eps(eps) != block_eps or interior != block_interior:
+        return None
+    return mask & ~sum(map(row, w), bias)
 
 
 def residue_classes(n: WeightVector) -> Iterator[int]:

@@ -23,8 +23,6 @@ from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
-# d = 2 stays scalar: an index has about V/2 candidates against V rows of V-1 fields
-PACKED_FROM_DIM = 3
 
 
 class BudgetExceeded(RuntimeError):
@@ -135,6 +133,14 @@ def _first_index(q: CensusQuery) -> int:
     return max(q.v_min, q.d - 1)
 
 
+def _candidate_counts(q: CensusQuery) -> tuple[int, ...]:
+    # the partitions of V + 1 into d parts, for each V from `_first_index(q)` up
+    lo = _first_index(q)
+    if lo > q.v_max:
+        return ()
+    return _partition_row(q.v_max + 1 - q.d, q.d)[lo + 1 - q.d :]
+
+
 def projected_candidates(q: CensusQuery) -> int:
     """Upper bound on the candidates a census enumerates, used for the budget.
 
@@ -142,10 +148,7 @@ def projected_candidates(q: CensusQuery) -> int:
     included, so it exceeds what `enumerate_blowups` yields: 26,385 against
     24,308 for d = 4, V <= 60.
     """
-    lo = _first_index(q)
-    if lo > q.v_max:
-        return 0
-    return sum(_partition_row(q.v_max + 1 - q.d, q.d)[lo + 1 - q.d :])
+    return sum(_candidate_counts(q))
 
 
 def _candidates_lower_bound(q: CensusQuery) -> int:
@@ -163,14 +166,15 @@ def _candidates_lower_bound(q: CensusQuery) -> int:
     return total // factorial(e)
 
 
-def _census_block(args: tuple[CensusQuery, int]) -> tuple[dict[int, int], list[WeightVector]]:
-    q, V = args
-    kernel = is_terminal_fast if q.verdict in ("terminal", "eps-lt") else is_canonical_fast
+def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, list[WeightVector]]:
+    q, V, packed = args
+    interior = q.verdict in ("canonical", "eps-lc")
+    kernel = is_canonical_fast if interior else is_terminal_fast
     # called bare at eps = 1, the kernel keeps its default eps and skips the check
     passes = kernel if q.eps == 1 else partial(kernel, eps=q.eps)
     counts: dict[int, int] = {}
     hits: list[WeightVector] = []
-    with packed_residues(q.d, V) if q.d >= PACKED_FROM_DIM else nullcontext():
+    with packed_residues(q.d, V, q.eps, interior) if packed else nullcontext():
         for w in enumerate_blowups(q.d, V):
             if passes(w):
                 m = min(w.n)
@@ -212,14 +216,18 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
                 f"at least {lower} candidates, {lower * per_candidate} residue"
                 f" steps, exceed budget {q.budget}"
             )
-    projected = projected_candidates(q)
+    candidates = _candidate_counts(q)
+    projected = sum(candidates)
     if projected * per_candidate > q.budget:
         raise BudgetExceeded(
             f"projected {projected} candidates, {projected * per_candidate}"
             f" residue steps, exceed budget {q.budget}"
         )
-    # largest index first: the heaviest task starts at once instead of last
-    tasks = [(q, V) for V in range(q.v_max, _first_index(q) - 1, -1)]
+    # an index is packed when its V+1 rows serve at least V candidates, so
+    # d = 2 and the few candidates of an index near d, whose rows would grow
+    # like V^2, stay scalar; the largest, heaviest index starts first
+    tasks = [(q, V, c >= V) for V, c in enumerate(candidates, _first_index(q))]
+    tasks.reverse()
     workers = pool_size(workers, len(tasks))
     if workers <= 1:
         blocks = [_census_block(t) for t in tasks]

@@ -304,6 +304,8 @@ def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
 
 
 _EPSILONS = [EPS_ONE, *PRUNE_EPSILONS]  # the kernels' default object first
+# the (eps, interior) of a block: its verdict is the closed simplex or its interior
+_BLOCKS = [(e, interior) for e in _EPSILONS for interior in (False, True)]
 
 
 def _classes_of(bits, width):
@@ -317,41 +319,35 @@ def _classes_of(bits, width):
 
 
 def _scalar_placed(w):
-    """Per eps, the classes of the scalar pass that `place_class` puts in the
-    closed simplex and in its interior, in k order."""
+    """Per block of `_BLOCKS`, the classes of the scalar pass that `place_class`
+    puts in the closed simplex or in its interior, in k order, and the
+    verdict that follows: terminal or canonical iff there is none."""
     classes = sorted(residue_classes(w))
     out = []
     for e in _EPSILONS:
         placed = [(k, place_class(w, k, e)) for k in classes]
-        out.append((
-            [k for k, m in placed if m is not MembershipClass.OUTSIDE],
-            [k for k, m in placed if m is MembershipClass.INTERIOR],
-        ))
+        closed = [k for k, m in placed if m is not MembershipClass.OUTSIDE]
+        interior = [k for k, m in placed if m is MembershipClass.INTERIOR]
+        out += [(closed, not closed), (interior, not interior)]
     return out
 
 
-def _packed_placed(w, rows):
-    """`_scalar_placed` read off the closed and interior bitsets, inside a block."""
-    return [
-        (
-            _classes_of(packed_classes(w.n, e), rows.width),
-            _classes_of(packed_classes(w.n, e, interior=True), rows.width),
-        )
-        for e in _EPSILONS
-    ]
+def _packed_placed(ws, d, V, blocks=_BLOCKS):
+    """`_scalar_placed` of each vector of ws, per block at (d, V): the classes
+    read off its bitset, and the verdict of the block's kernel called in it."""
+    out = [[] for _ in ws]
+    for e, interior in blocks:
+        kernel = is_canonical_fast if interior else is_terminal_fast
+        with packed_residues(d, V, e, interior) as rows:
+            for got, w in zip(out, ws):
+                bits = packed_classes(w.n, e, interior)
+                assert bits is not None, (w.n, e, interior)  # the block answers for w
+                got.append((_classes_of(bits, rows.width), kernel(w, e)))
+    return out
 
 
-def _packed_classes(w, d=None):
-    """The bitsets of w at every eps, in a block of its own index for vectors of length <= d."""
-    with packed_residues(d or w.d, w.V) as rows:
-        assert packed_classes(w.n) is not None  # the block answers for w
-        return _packed_placed(w, rows)
-
-
-def _check_packed_against_scalar(w):
-    scalar = _scalar_placed(w)
-    assert _packed_classes(w) == scalar, w.n
-    return scalar
+def _check_packed_against_scalar(ws, d, V):
+    assert _packed_placed(ws, d, V) == [_scalar_placed(w) for w in ws], (d, V)
 
 
 def _row_fields(bits, width, count):
@@ -360,66 +356,93 @@ def _row_fields(bits, width, count):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_packed_rows_hold_every_residue(d):
-    # every field of every row v = 0..V is k*v mod V, and nothing lies above
-    # them: V <= 60, V = 419, and both sides of each width edge d*V = 2^j
-    # above V = 60, up to d*V = 512
+    # every field of every row v = 0..V is k*v mod V, or V + 1 where that
+    # residue r fails the block's verdict at eps = a/b: b*r < (b-a)*v in the
+    # closed simplex, b*r <= (b-a)*v in its interior; nothing lies above the
+    # fields.  Every block at V <= 30; the closed one at eps = 1 at V <= 60,
+    # V = 419, and both sides of each width edge d*V = 2^j above V = 60, up
+    # to d*V = 512
     edges = {V for j in range(7, 10) for V in ((2**j - 1) // d, -(-2**j // d))}
     for V in sorted({*range(1, 61), 419, *edges}):
-        rows = PackedRows(d, V)
-        w = rows.width
-        assert 2 ** (w - 1) > d * V >= 2 ** (w - 2) and len(rows) == V + 1
-        for v, row in enumerate(rows):
-            assert _row_fields(row, w, V - 1) == [k * v % V for k in range(1, V)], (V, v)
-            assert row >> w * (V - 1) == 0, (V, v)
-        assert _row_fields(rows.mask, w, V - 1) == [1 << w - 1] * (V - 1)
-        assert _row_fields(rows.bias, w, V - 1) == [(1 << w - 1) - 1 - V] * (V - 1)
+        for e, interior in _BLOCKS if V <= 30 else _BLOCKS[:1]:
+            rows = PackedRows(d, V, e, interior)
+            w, a, b = rows.width, e.numerator, e.denominator
+            assert 2 ** (w - 1) > d * V >= 2 ** (w - 2) and len(rows) == V + 1
+            for v, row in enumerate(rows):
+                fields = [
+                    V + 1 if b * r < (b - a) * v or interior and b * r == (b - a) * v else r
+                    for r in (k * v % V for k in range(1, V))
+                ]
+                assert _row_fields(row, w, V - 1) == fields, (V, v, e, interior)
+                assert row >> w * (V - 1) == 0, (V, v)
+            assert _row_fields(rows.mask, w, V - 1) == [1 << w - 1] * (V - 1)
+            assert _row_fields(rows.bias, w, V - 1) == [(1 << w - 1) - 1 - V] * (V - 1)
+
+
+@pytest.mark.parametrize("d,vmax", [(2, 60), (3, 36), (4, 26), (5, 18)])
+def test_packed_pass_matches_scalar_exhaustive(d, vmax):
+    # per (eps, verdict), the bitsets of one block and its kernel against place_class
+    for V in range(1, vmax + 1):
+        _check_packed_against_scalar(list(enumerate_blowups(d, V)), d, V)
+
+
+@given(_large_index_vectors(max_index=419))
+@settings(max_examples=150, deadline=None)
+def test_packed_pass_matches_scalar_sampled(w):
+    _check_packed_against_scalar([w], w.d, w.V)
+
+
+def test_packed_field_width_edges():
+    # both sides of d*V = 2^j at d = 2..5 and j = 6, 7: at d = 4, d*V = 124
+    # fits 8-bit fields and d*V = 128 needs 9 bits
+    for d in (2, 3, 4, 5):
+        for V in sorted({V for j in (6, 7) for V in ((2**j - 1) // d, -(-2**j // d))}):
+            assert PackedRows(d, V).width == (d * V).bit_length() + 1
+            _check_packed_against_scalar(list(enumerate_blowups(d, V)), d, V)
+    assert [PackedRows(4, V).width for V in (31, 32)] == [8, 9]
+    # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do; the rows
+    # at V = 8,193 take 140 MB, so its vectors share a block of each of two
+    # verdicts, the second with folded fields
+    assert PackedRows(4, 8191).width == 16
+    large = [(1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)]
+    large = [WeightVector(n) for n in large]
+    blocks = [(EPS_ONE, False), (F(1, 2), True)]
+    got = _packed_placed(large, 4, 8193, blocks)
+    expected = [_scalar_placed(w) for w in large]
+    assert got == [[placed[_BLOCKS.index(b)] for b in blocks] for placed in expected]
+    # the d = 2 vector (1, V), every class of which is in the closed simplex
+    # at eps = 1, and V = 1
+    for V in (1, 2, 7, 64, 419):
+        w = WeightVector((1, V))
+        _check_packed_against_scalar([w], 2, V)
+        assert len(_scalar_placed(w)[0][0]) == V - 1
+    # a vector shorter than the block's dimension fits its fields too
+    _check_packed_against_scalar([WeightVector((1, 1, 2))], 4, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_packed_all_ones_vector_fails_every_field(d):
+    # at V = d - 1, s(k) = d*k > V: every field of the sum has its top bit set,
+    # in every block, and the vector is terminal at every eps
+    w, V = WeightVector((1,) * d), d - 1
+    for e, interior in _BLOCKS:
+        with packed_residues(d, V, e, interior) as rows:
+            assert rows.mask & (sum(rows[v] for v in w.n) + rows.bias) == rows.mask
+            assert packed_classes(w.n, e, interior) == 0
+    _check_packed_against_scalar([w], d, V)
 
 
 def _verdicts_at_every_eps(w):
     return [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in _EPSILONS]
 
 
-@pytest.mark.parametrize("d,vmax", [(2, 60), (3, 36), (4, 26), (5, 18)])
-def test_packed_pass_matches_scalar_exhaustive(d, vmax):
-    # the bitsets against place_class, and the kernels in a block against outside
-    for V in range(1, vmax + 1):
-        with packed_residues(d, V) as rows:
-            packed = {
-                w.n: (_packed_placed(w, rows), _verdicts_at_every_eps(w))
-                for w in enumerate_blowups(d, V)
-            }
-        for w in enumerate_blowups(d, V):
-            assert packed[w.n] == (_scalar_placed(w), _verdicts_at_every_eps(w)), w.n
-
-
-@given(_large_index_vectors(max_index=419))
-@settings(max_examples=150, deadline=None)
-def test_packed_pass_matches_scalar_sampled(w):
-    _check_packed_against_scalar(w)
-
-
-def test_packed_field_width_edges():
-    # d*V = 124 fits 8-bit fields, d*V = 128 needs 9 bits
-    for V in (31, 32):
-        for w in enumerate_blowups(4, V):
-            _check_packed_against_scalar(w)
-    assert [PackedRows(4, V).width for V in (31, 32)] == [8, 9]
-    # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do; the rows
-    # at V = 8,193 take 140 MB, so its vectors share one block
-    with packed_residues(4, 8191) as rows:
-        assert rows.width == 16
-    large = [(1, 2, 3, 8188), (2047, 2048, 2049, 2050), (1, 1, 4096, 4096), (3, 3, 5, 8183)]
-    with packed_residues(4, 8193) as rows:
-        assert rows.width == 17
-        packed = [_packed_placed(WeightVector(n), rows) for n in large]
-    assert packed == [_scalar_placed(WeightVector(n)) for n in large]
-    # the d = 2 vector (1, V), every class of which is in the closed simplex
-    # at eps = 1, and V = 1
-    for V in (1, 2, 7, 64, 419):
-        assert len(_check_packed_against_scalar(WeightVector((1, V)))[0][0]) == V - 1
-    # a vector shorter than the block's dimension fits its fields too
-    short = WeightVector((1, 1, 2))
-    assert _packed_classes(short, d=4) == _scalar_placed(short)
+def test_packed_kernels_answer_at_another_eps_or_verdict():
+    # in a block, a kernel of another eps or verdict takes the scalar pass
+    ws = list(enumerate_blowups(4, 24))
+    outside = [_verdicts_at_every_eps(w) for w in ws]
+    for e, interior in [(EPS_ONE, False), (EPS_ONE, True), (F(1, 2), True), (F(2, 3), False)]:
+        with packed_residues(4, 24, e, interior):
+            assert [_verdicts_at_every_eps(w) for w in ws] == outside, (e, interior)
 
 
 def test_packed_state_is_dropped_and_scoped_to_its_index():
@@ -434,7 +457,14 @@ def test_packed_state_is_dropped_and_scoped_to_its_index():
             assert packed_classes(w.n) is None
             assert packed_classes(w.n, F(1, 2), interior=True) is None
         assert [_verdicts_at_every_eps(w) for w in (other, wide)] == verdicts
-        assert packed_classes((1, 2, 3, 25)) is not None  # on its index, the block answers
+        on = (1, 2, 3, 25)
+        assert packed_classes(on) is not None  # on its index, the block answers
+        assert packed_classes(on, F(1)) is not None and packed_classes(on, 1) is not None
+        assert packed_classes(on, F(1, 2)) is None  # at another eps
+        assert packed_classes(on, interior=True) is None  # for another verdict
+    with packed_residues(4, 30, F(1, 2), True):
+        assert packed_classes((1, 2, 3, 25), F(1, 2), True) is not None
+        assert packed_classes((1, 2, 3, 25), F(1, 2)) is None
     assert exactgeom._packed is None
     with pytest.raises(RuntimeError):
         with packed_residues(4, 30):
@@ -450,18 +480,26 @@ def test_packed_classes_checks_eps():
             packed_classes(w.n, F(3, 2))
         with pytest.raises(TypeError):
             packed_classes(w.n, 0.5, interior=True)
+    for eps, error in [(F(3, 2), ValueError), (0.5, TypeError)]:
+        with pytest.raises(error):
+            with packed_residues(4, 10, eps):
+                pass
+    assert exactgeom._packed is None
 
 
 @given(_large_index_vectors(min_d=2, max_d=6, max_index=419))
 @settings(max_examples=150, deadline=None)
 def test_kernels_match_mld_reference(w):
-    # terminal iff mld > eps, canonical iff mld >= eps, in a block and outside
+    # terminal iff mld > eps, canonical iff mld >= eps, outside a block and
+    # in a block of each eps and verdict
     mld = mld_reference(w)
     expected = [(mld > e, mld >= e) for e in _EPSILONS]
     assert _verdicts_at_every_eps(w) == expected, w.n
-    with packed_residues(w.d, w.V):
-        assert _verdicts_at_every_eps(w) == expected, w.n
-        assert packed_classes(w.n) is not None  # the block answered
+    for e, interior in _BLOCKS:
+        kernel = is_canonical_fast if interior else is_terminal_fast
+        with packed_residues(w.d, w.V, e, interior):
+            assert packed_classes(w.n, e, interior) is not None  # the block answers
+            assert kernel(w, e) == (mld >= e if interior else mld > e), (w.n, e, interior)
 
 
 def test_mld_reference_examples():

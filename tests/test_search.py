@@ -10,7 +10,7 @@ import pytest
 
 from blowups import classifier, exactgeom, search
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
-from blowups.exactgeom import WeightVector
+from blowups.exactgeom import EPS_ONE, WeightVector
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
@@ -189,19 +189,27 @@ def test_census_refuses_workers_below_one(monkeypatch, workers):
         run_census(CensusQuery(d=3, v_max=5), workers=workers)
 
 
-@pytest.mark.parametrize("d,packed", [(2, False), (3, True), (4, True), (5, True)])
-def test_census_block_packs_each_index_from_d3(monkeypatch, d, packed):
-    seen = []
+@pytest.mark.parametrize("d,first", [(2, 25), (3, 10), (4, 9), (5, 10)])
+def test_census_packs_an_index_with_at_least_V_candidates(monkeypatch, d, first):
+    # an index enters a block of (V, d) at eps = 1, held as the kernel's
+    # default object, when V + 1 has at least V partitions into d parts: at
+    # d = 2, with (V+1)//2 of them, only V = 1, whose one candidate has no class
+    seen = {}
     kernel = search.is_terminal_fast
 
     def recording_kernel(w):
         state = exactgeom._packed
-        seen.append(state is not None and (state[0].d, state[0].V))
+        block = state is not None and (state[1] - 1, state[2], state[5] is EPS_ONE, state[6])
+        seen.setdefault(sum(w.n) - 1, set()).add(block)
         return kernel(w)
 
     monkeypatch.setattr(search, "is_terminal_fast", recording_kernel)
-    search._census_block((CensusQuery(d=d, v_max=20), 20))
-    assert set(seen) == ({(d, 20)} if packed else {False})
+    run_census(CensusQuery(d=d, v_max=24))
+    packed = {V for V in range(d - 1, 25) if partition_count(V + 1, d) >= V}
+    assert packed == {*range(first, 25)} | ({1} if d == 2 else set())
+    assert seen == {
+        V: {(V, d, True, False)} if V in packed else {False} for V in range(d - 1, 25)
+    }
     assert exactgeom._packed is None
 
     def failing_kernel(w):
@@ -209,8 +217,22 @@ def test_census_block_packs_each_index_from_d3(monkeypatch, d, packed):
 
     monkeypatch.setattr(search, "is_terminal_fast", failing_kernel)
     with pytest.raises(RuntimeError):
-        search._census_block((CensusQuery(d=d, v_max=20), 20))
+        search._census_block((CensusQuery(d=d, v_max=20), 20, True))
     assert exactgeom._packed is None
+
+
+def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
+    # d = 398, V = 400 has 3 candidates: rows of 399 fields for each of 401
+    # weight values would serve them, and at V = 6,000 take 142 MB
+    def refuse(*args):
+        raise AssertionError("packed rows were built")
+
+    monkeypatch.setattr(exactgeom, "PackedRows", refuse)
+    got = run_census(CensusQuery(d=398, v_min=400, v_max=400))
+    assert [(h.n.count(1), h.n[-3:]) for h in got.hits] == [
+        (397, (1, 1, 4)), (396, (1, 2, 3)), (395, (2, 2, 2))
+    ]
+    assert got.histogram.items() == [(1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -229,7 +251,7 @@ def test_census_block_never_places_a_class(monkeypatch, verdict, eps):
     for module in (classifier, exactgeom):
         monkeypatch.setattr(module, "place_class", failing)
         monkeypatch.setattr(module, "residue_classes", failing)
-    counts, hits = search._census_block((q, 30))
+    counts, hits = search._census_block((q, 30, True))
     assert hits == expected and sum(counts.values()) == len(expected) > 0
 
 
