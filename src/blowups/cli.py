@@ -4,9 +4,11 @@ All output pipelines are deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
 terminal blowup above the smallest-weight bound, 2 usage or invalid input
 (an unreadable input file or unwritable `--out` included), 3 resource budget
-exceeded, 4 data integrity failure.  Commands return (text, exit code);
-`main` alone writes the text, to stdout or `--out`, and maps the errors
-above to codes; any other exception is a bug and propagates.
+exceeded, 4 data integrity failure.  Commands return (text chunks, exit
+code), `census` one chunk per index block; `main` alone writes the chunks,
+to stdout or to `--out`, which it opens only once the command has returned,
+and maps the errors above to codes; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
@@ -48,7 +52,7 @@ def _witness_json(w, n: WeightVector) -> dict:
     }
 
 
-def cmd_classify(args) -> tuple[str, int]:
+def cmd_classify(args) -> tuple[Iterable[str], int]:
     weights = parse_weights(args.weights)
     verdict = classify(weights, args.epsilon)
     payload = {
@@ -59,7 +63,7 @@ def cmd_classify(args) -> tuple[str, int]:
         "eps_log_canonical": verdict.eps_log_canonical,
         "witness": _witness_json(verdict.witness, weights) if verdict.witness else None,
     }
-    return _json(payload), 0
+    return [_json(payload)], 0
 
 
 def _histogram_csv(items) -> list[str]:
@@ -67,16 +71,28 @@ def _histogram_csv(items) -> list[str]:
     return ["n_min,count", *(f"{k},{c}" for k, c in items)]
 
 
-def _census_csv(result, d: int) -> str:
+def _block_args(weights, d: int, at: int) -> tuple[int, ...]:
+    """The weights of a block's hits, d per hit, each hit with its n_min, its
+    first weight, put in at position `at` of its d + 1 fields."""
+    args = [0] * (len(weights) // d * (d + 1))
+    args[at :: d + 1] = weights[::d]
+    for i in range(d):
+        args[i + (i >= at) :: d + 1] = weights[i::d]
+    return tuple(args)
+
+
+def _census_csv(result, d: int) -> Iterator[str]:
     lines = _histogram_csv(result.histogram.items())
     lines.append("")
     lines.append("V," + ",".join(f"n_{i + 1}" for i in range(d)) + ",n_min")
-    row = ",".join(["%d"] * (d + 2))  # V, the weights, n_min
-    lines += [row % (sum(h.n) - 1, *h.n, min(h.n)) for h in result.hits]
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    row = ",".join(["%d"] * (d + 1))  # the weights, n_min
+    for V, weights in result.blocks:
+        rows = "\n".join([f"{V},{row}"] * (len(weights) // d))
+        yield rows % _block_args(weights, d, d) + "\n"
 
 
-def cmd_census(args) -> tuple[str, int]:
+def cmd_census(args) -> tuple[Iterable[str], int]:
     query = CensusQuery(
         d=args.dim,
         v_min=args.vmin,
@@ -92,12 +108,13 @@ def cmd_census(args) -> tuple[str, int]:
     return _census_json(query, result), 0
 
 
-def _census_json(query: CensusQuery, result) -> str:
+def _census_json(query: CensusQuery, result) -> Iterator[str]:
     """The census exactly as `_json` would print it, hits from a fixed template.
 
     The header, with an empty hit list, goes through `_json`, so its key order,
     string histogram keys and `null` come from `json` itself.  `json.dumps`
     with `indent` runs the pure-Python encoder, several times slower per hit.
+    The hits follow one block at a time, each formatted by one `%`.
     """
     head = _json({
         "dim": query.d,
@@ -110,22 +127,29 @@ def _census_json(query: CensusQuery, result) -> str:
         "total": result.histogram.total,
         "hits": [],
     })
-    if not result.hits:
-        return head
+    if not result.blocks:
+        yield head
+        return
+    # no other key or value of the header can read `"hits": []`
+    before, after = head.split('"hits": []')
+    yield before + '"hits": [\n'
     hit = (
-        '    {\n      "V": %d,\n      "n_min": %d,\n      "weights": [\n        '
-        + ",\n        ".join(["%d"] * query.d)
+        '    {\n      "V": %d,\n      "n_min": %%d,\n      "weights": [\n        '
+        + ",\n        ".join(["%%d"] * query.d)
         + "\n      ]\n    }"
     )
-    hits = ",\n".join([hit % (sum(h.n) - 1, min(h.n), *h.n) for h in result.hits])
-    # no other key or value of the header can read `"hits": []`
-    return head.replace('"hits": []', f'"hits": [\n{hits}\n  ]', 1)
+    sep = ""
+    for V, weights in result.blocks:
+        hits = ",\n".join([hit % V] * (len(weights) // query.d))
+        yield sep + hits % _block_args(weights, query.d, 0)
+        sep = ",\n"
+    yield "\n  ]" + after
 
 
-def cmd_family(args) -> tuple[str, int]:
+def cmd_family(args) -> tuple[Iterable[str], int]:
     if args.volume is None:  # the bound is the same for either sign
         bound = families.bound_dim1(args.id, args.apex)
-        return _json({"id": args.id, "apex": args.apex, "bound": str(bound)}), 0
+        return [_json({"id": args.id, "apex": args.apex, "bound": str(bound)})], 0
     sign = -1 if args.sign == "-" else 1
     weights = families.blowup_from_quintuple(args.id, args.apex, args.volume, sign)
     payload = {
@@ -138,19 +162,19 @@ def cmd_family(args) -> tuple[str, int]:
     if weights is not None:
         payload["eps_log_terminal"] = is_terminal_fast(weights)
         payload["n_min"] = weights.n_min
-    return _json(payload), 0
+    return [_json(payload)], 0
 
 
-def cmd_family_table(args) -> tuple[str, int]:
-    return families.table_csv(), 0
+def cmd_family_table(args) -> tuple[Iterable[str], int]:
+    return [families.table_csv()], 0
 
 
-def cmd_family_scan(args) -> tuple[str, int]:
+def cmd_family_scan(args) -> tuple[Iterable[str], int]:
     payload = scan_families(args.vmax)
-    return _json(payload), 1 if payload["violations"] else 0
+    return [_json(payload)], 1 if payload["violations"] else 0
 
 
-def cmd_width(args) -> tuple[str, int]:
+def cmd_width(args) -> tuple[Iterable[str], int]:
     try:
         raw = json.loads(args.points)
     except json.JSONDecodeError as exc:
@@ -180,10 +204,10 @@ def cmd_width(args) -> tuple[str, int]:
         "max_facet_width": max(f.width for f in cfg.facets),
         "ell_L": None if ell is None else str(ell),
     }
-    return _json(payload), 0
+    return [_json(payload)], 0
 
 
-def cmd_sporadic(args) -> tuple[str, int]:
+def cmd_sporadic(args) -> tuple[Iterable[str], int]:
     if args.fixtures and (args.input or args.strict):
         # the fixtures are never read from a file, so the file and its parsing
         # mode would be ignored; $BLOWUPS_SPORADIC_DATA is only a default
@@ -199,8 +223,8 @@ def cmd_sporadic(args) -> tuple[str, int]:
     report["source"] = path or "embedded-fixtures"
     if args.format == "csv":
         # the report's histogram is already in n_min order
-        return "\n".join(_histogram_csv(report["histogram"].items())) + "\n", 0
-    return _json(report), 0
+        return ["\n".join(_histogram_csv(report["histogram"].items())) + "\n"], 0
+    return [_json(report)], 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,11 +287,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = args.func(args)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        chunks, code = args.func(args)
+        with Path(args.out).open("w") if args.out else nullcontext(sys.stdout) as out:
+            out.writelines(chunks)
         return code
     except (sporadic.DatasetFormatError, sporadic.DatasetIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

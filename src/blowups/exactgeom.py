@@ -31,10 +31,9 @@ import itertools
 import operator
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -96,15 +95,17 @@ class ZeroWeightError(ValueError):
     """A weight below 1 is a degenerate blowup and is refused, not classified."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightVector:
     """The weights of a blowup of A^d: d >= 2 positive integers with gcd 1.
 
     A weight below 1 raises `ZeroWeightError`, so every instance is a genuine
-    blowup and its index V = sum(n) - 1 is at least 1.
+    blowup and its index V = sum(n) - 1 is at least 1.  V is a slot summed
+    once, when the vector is made, and equality, hash and repr read only n.
     """
 
     n: tuple[int, ...]
+    V: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = tuple(map(operator.index, self.n))
@@ -115,24 +116,27 @@ class WeightVector:
             raise ZeroWeightError(f"weights must be positive, got {n}")
         if gcd(*n) != 1:
             raise ValueError(f"weights {n} are not primitive")
+        object.__setattr__(self, "V", sum(n) - 1)
 
     @property
     def d(self) -> int:
         return len(self.n)
-
-    @cached_property  # in the instance dict, which equality, hash and repr never read
-    def V(self) -> int:
-        return sum(self.n) - 1
 
     @property
     def n_min(self) -> int:
         return min(self.n)
 
 
-def _unchecked_weights(n: tuple[int, ...]) -> WeightVector:
-    """A `WeightVector` of a tuple of ints already known to pass `__post_init__`."""
+# the slot descriptors set a field of a frozen vector without its __setattr__
+_set_n, _set_V = WeightVector.n.__set__, WeightVector.V.__set__
+
+
+def _unchecked_weights(n: tuple[int, ...], V: int) -> WeightVector:
+    """A `WeightVector` of a tuple of ints already known to pass `__post_init__`,
+    whose index V = sum(n) - 1 the caller knows."""
     w = object.__new__(WeightVector)
-    object.__setattr__(w, "n", n)
+    _set_n(w, n)
+    _set_V(w, V)
     return w
 
 

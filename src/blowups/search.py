@@ -4,13 +4,15 @@ Candidates are enumerated one representative per permutation class (weights
 nondecreasing) since the classification flags are permutation invariant.
 Work is partitioned by index V, which is embarrassingly parallel; the largest
 index is submitted first, and results are merged in V order so the output is
-identical for any worker count.
+identical for any worker count.  A block keeps its hits as one flat `array`
+of weights, d per hit, and builds no `WeightVector` for them.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -77,8 +79,25 @@ class Histogram:
 
 @dataclass
 class CensusResult:
+    """The histogram of a census and its hits, as (V, weights) blocks in V order.
+
+    The weights of a block are those of its hits in lex order, d per hit,
+    each hit nondecreasing, so its smallest weight comes first.
+    """
+
     histogram: Histogram
-    hits: list[WeightVector]
+    d: int
+    blocks: list[tuple[int, array]]
+
+    @property
+    def hits(self) -> list[WeightVector]:
+        """The hits as vectors, sorted by (V, lex), built on each read."""
+        d = self.d
+        return [
+            _unchecked_weights(tuple(weights[i : i + d]), V)
+            for V, weights in self.blocks
+            for i in range(0, len(weights), d)
+        ]
 
 
 def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
@@ -101,7 +120,7 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
             g = gcd(g, remaining)
             for v in range(lo, remaining // 2 + 1):
                 if g == 1 or gcd(g, v) == 1:  # positive and primitive, as WeightVector checks
-                    yield _unchecked_weights(prefix + (v, remaining - v))
+                    yield _unchecked_weights(prefix + (v, remaining - v), V)
             return
         for v in range(lo, remaining // slots + 1):
             yield from parts(prefix + (v,), gcd(g, v), remaining - v, slots - 1, v)
@@ -166,21 +185,30 @@ def _candidates_lower_bound(q: CensusQuery) -> int:
     return total // factorial(e)
 
 
-def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, list[WeightVector]]:
+def _hit_typecode(v_max: int) -> str:
+    # each weight is at most its index V <= v_max, as d >= 2 positive weights
+    # sum to V + 1, and C makes "H" at least 16 bits wide and "Q" 64; no census
+    # to 2^64 gets here, as its partition row alone has 2^64 entries
+    return "H" if v_max < 1 << 16 else "Q"
+
+
+def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, array]:
     q, V, packed = args
     interior = q.verdict in ("canonical", "eps-lc")
     kernel = is_canonical_fast if interior else is_terminal_fast
     # called bare at eps = 1, the kernel keeps its default eps and skips the check
     passes = kernel if q.eps == 1 else partial(kernel, eps=q.eps)
+    least = q.min_weight or 1
     counts: dict[int, int] = {}
-    hits: list[WeightVector] = []
+    hits = array(_hit_typecode(q.v_max))
     with packed_residues(q.d, V, q.eps, interior) if packed else nullcontext():
         for w in enumerate_blowups(q.d, V):
             if passes(w):
-                m = min(w.n)
+                n = w.n
+                m = n[0]  # the weights are nondecreasing
                 counts[m] = counts.get(m, 0) + 1
-                if q.min_weight is None or m >= q.min_weight:
-                    hits.append(w)
+                if m >= least:
+                    hits.extend(n)
     return counts, hits
 
 
@@ -199,8 +227,9 @@ def pool_size(workers: int, tasks: int) -> int:
 def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     """Classify every candidate in the index range and aggregate smallest weights.
 
-    The hit list contains every passing vector meeting the min-weight filter,
-    sorted by (V, lex).  Output is bit-identical for any worker count >= 1.
+    The hits are every passing vector meeting the min-weight filter, sorted
+    by (V, lex), in one weight array per index that has any.  Output is
+    bit-identical for any worker count >= 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -236,9 +265,10 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
             blocks = list(pool.map(_census_block, tasks, chunksize=1))
     blocks.reverse()  # back to V order for the merge
     hist = Histogram()
-    hits: list[WeightVector] = []
-    for counts, block_hits in blocks:
+    hits: list[tuple[int, array]] = []
+    for V, (counts, weights) in enumerate(blocks, _first_index(q)):
         for key, c in counts.items():
             hist.add(key, c)
-        hits.extend(block_hits)
-    return CensusResult(hist, hits)
+        if weights:
+            hits.append((V, weights))
+    return CensusResult(hist, q.d, hits)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,48 @@ def test_census_out_file(tmp_path, capsys):
                        "--threads", "1", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["dim"] == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("extra", [(), ("--min-weight", "100")], ids=["hits", "no-hits"])
+def test_census_out_file_equals_stdout(tmp_path, capsys, fmt, extra):
+    # the chunks go to either sink unchanged, the empty hit list included
+    argv = ("census", "--dim", "4", "--vmax", "30", "--threads", "1", "--format", fmt, *extra)
+    target = tmp_path / f"census.{fmt}"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--vmax", "90", "--budget", "10"), 3),
+    (("--vmax", "10", "--budget", "-1"), 2),
+    (("--vmax", "10", "--epsilon", "3/2", "--verdict", "eps-lc"), 2),
+    (("--vmax", "5", "--threads", "0"), 2),
+])
+def test_refused_census_leaves_no_out_file(tmp_path, capsys, argv, code):
+    # the file is opened only once the census has run
+    target = tmp_path / "census.json"
+    got, out, err = run(capsys, "census", "--dim", "4", *argv, "--out", str(target))
+    assert (got, out) == (code, "") and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_census_out_peak_memory_below_half_the_output(tmp_path):
+    # the hits are compact arrays and the text is written index by index,
+    # so the traced peak stays well below the size of the output
+    target = tmp_path / "census.json"
+    tracemalloc.start()
+    try:
+        code = main(["census", "--dim", "4", "--vmax", "80", "--threads", "1",
+                     "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert code == 0 and size > 1.5 * 10**6
+    assert peak < size / 2, (peak, size)
 
 
 def test_unwritable_out_exit(tmp_path, capsys):

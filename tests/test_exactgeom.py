@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -48,10 +50,15 @@ F = Fraction
 def test_weight_vector_invariants():
     w = WeightVector((6, 10, 15, 7))
     assert (w.d, w.V, w.n_min) == (4, 37, 6)
-    # V is summed once and kept in the instance dict, out of sight of the fields
-    assert vars(w) == {"n": (6, 10, 15, 7), "V": 37}
+    # V is a slot summed once; there is no instance dict, and equality, hash
+    # and repr read n alone
+    assert not hasattr(w, "__dict__") and WeightVector.__slots__ == ("n", "V")
     assert repr(w) == "WeightVector(n=(6, 10, 15, 7))"
-    assert w == WeightVector((6, 10, 15, 7)) and hash(w) == hash(WeightVector((6, 10, 15, 7)))
+    twin = exactgeom._unchecked_weights((6, 10, 15, 7), 0)  # a wrong V, on purpose
+    assert twin == w and hash(twin) == hash(w) == hash(WeightVector((6, 10, 15, 7)))
+    assert repr(twin) == repr(w)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.V = 36
     with pytest.raises(ValueError):
         WeightVector((2, 2, 2))  # imprimitive
     with pytest.raises(ValueError):
@@ -63,6 +70,13 @@ def test_weight_vector_invariants():
     # a zero weight is refused by the type, even when primitive with V >= 1
     with pytest.raises(ZeroWeightError):
         WeightVector((0, 1, 2))
+
+
+def test_weight_vector_pickle_round_trip():
+    # a frozen slotted dataclass pickles through its generated state methods
+    for w in (WeightVector((6, 10, 15, 7)), next(enumerate_blowups(4, 37))):
+        back = pickle.loads(pickle.dumps(w))
+        assert type(back) is WeightVector and (back.n, back.V) == (w.n, w.V)
 
 
 def test_weight_vector_refuses_non_integers():

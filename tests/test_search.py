@@ -252,7 +252,20 @@ def test_census_block_never_places_a_class(monkeypatch, verdict, eps):
         monkeypatch.setattr(module, "place_class", failing)
         monkeypatch.setattr(module, "residue_classes", failing)
     counts, hits = search._census_block((q, 30, True))
-    assert hits == expected and sum(counts.values()) == len(expected) > 0
+    # one flat array of the hits' weights, 4 per hit, in enumeration order
+    assert hits.typecode == "H" and hits.tolist() == [x for w in expected for x in w.n]
+    assert sum(counts.values()) == len(expected) > 0
+
+
+def test_census_hit_array_holds_every_weight():
+    # a weight is at most its index, so the typecode follows v_max alone:
+    # 16 bits up to 65535, 64 above
+    for v_max, code in ((65535, "H"), (65536, "Q")):
+        q = CensusQuery(d=3, v_min=12, v_max=v_max, budget=10**30)
+        counts, hits = search._census_block((q, 12, False))
+        assert hits.typecode == code and hits.itemsize * 8 >= v_max.bit_length()
+        assert hits.tolist() == [x for w in enumerate_blowups(3, 12) if is_terminal_fast(w) for x in w.n]
+        assert counts == {1: len(hits) // 3}
 
 
 def test_pool_size_clamp(monkeypatch):
