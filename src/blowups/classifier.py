@@ -5,10 +5,10 @@ the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 (p = n/V), and eps-log canonical exactly when it is hollow.  `classify`
 reports a witness from the coset enumeration; `is_terminal_fast` and
 `is_canonical_fast` stop at the first class that decides the verdict.  All
-three stand on the residue pass `exactgeom.residue_classes`, at every eps;
-each kernel has two paths: `place_class` over that pass, or, inside a census
-block (`exactgeom.packed_residues`) of its own eps and verdict, one bitset,
-`exactgeom.packed_classes`.
+three stand on the residue pass `exactgeom.residue_classes`, at every eps,
+and each kernel has one path, `place_class` over that pass.  They are the
+reference for a census block, which owns the `exactgeom.PackedRows` of its
+index and tests its candidates without calling them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .exactgeom import (
     WeightVector,
     checked_eps,
     lattice_points_in_shrunk_simplex,
-    packed_classes,
     place_class,
     residue_classes,
 )
@@ -68,30 +67,18 @@ def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
 
 
 def is_terminal_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
-    """eps-log terminal: no class of the residue pass lies in the simplex.
-
-    Inside a closed `packed_residues` block at eps no bit of `packed_classes`
-    survives, elsewhere `place_class` puts every class outside; at eps = 1
-    this is the Reid-Tai test s(k) = sum_i (k*n_i mod V) > V for every k in
-    [1, V-1].
+    """eps-log terminal: `place_class` puts every class of the residue pass
+    outside the simplex; at eps = 1 this is the Reid-Tai test
+    s(k) = sum_i (k*n_i mod V) > V for every k in [1, V-1].
     """
-    inside = packed_classes(n.n, eps)
-    if inside is not None:
-        return not inside
     eps = checked_eps(eps)
     return all(place_class(n, k, eps) is OUTSIDE for k in residue_classes(n))
 
 
 def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
-    """eps-log canonical: no class of the residue pass lies in the interior.
-
-    Inside an interior `packed_residues` block at eps no bit of
-    `packed_classes` survives, elsewhere `place_class` puts no class in the
-    interior; at eps = 1 that is a class with no zero residue.
+    """eps-log canonical: `place_class` puts no class of the residue pass in
+    the interior; at eps = 1 that is a class with no zero residue.
     """
-    inside = packed_classes(n.n, eps, interior=True)
-    if inside is not None:
-        return not inside
     eps = checked_eps(eps)
     return all(place_class(n, k, eps) is not INTERIOR for k in residue_classes(n))
 

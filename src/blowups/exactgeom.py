@@ -12,14 +12,14 @@ and p + eps*(e_i - p).
 The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
-stand on them.  Inside `packed_residues(d, V, eps, interior)`, which the
-census enters for an index with at least V candidates, the kernels answer
-instead from `packed_classes`: one integer per weight value holds all its
-residues in w-bit fields, w the least width with 2^(w-1) > d*V, each residue
-that fails the block's one verdict at eps replaced by V + 1.  One recurrence
-of big-integer additions builds all V+1 rows, (V+1)(V-1)*w bits, on entry,
-and a few more additions give the bitset of the classes of a vector that lie
-in the closed or open simplex, at every eps by the same top-bit test.
+stand on them, each by one scalar pass.  A census block of at least V
+candidates builds instead the `PackedRows` of its index: one integer per
+weight value holds all its residues in w-bit fields, w the least width with
+2^(w-1) > d*V, each residue that fails the block's one verdict at eps
+replaced by V + 1.  One recurrence of big-integer additions builds all V+1
+rows, (V+1)(V-1)*w bits, and a few more additions give the bitset of the
+classes of a vector that lie in the closed or open simplex, at every eps by
+the same top-bit test.
 A witness is a class k and its membership.  An independent brute-force scan
 of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.
@@ -30,15 +30,14 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
-EPS_ONE = Fraction(1)  # the kernels' default eps, known valid by identity
+EPS_ONE = Fraction(1)  # the kernels' default eps
 _EPS_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")  # eps text, once stripped: an integer or p/q
 
 
@@ -199,7 +198,8 @@ class PackedRows(list):
     V + 1 and m <= V + 1, as the weights are positive and sum to V + 1, so
     s'(k) <= m*(V+1) <= d*V + V + 1 < 2^(w-1) + V + 1, and 2^(w-1) > V.  The
     top bit is thus clear exactly when s'(k) <= V: when the class lies in
-    the simplex.
+    the simplex.  So `mask & ~(sum of the rows of n + bias)` is the bitset of
+    the classes of n that meet the verdict, class k at bit w*k - 1.
 
     Row 1 is the low V-1 fields of ones*ones, and row v+1 is row v plus row
     1, less V in each field that reaches V: the top bits of the sum plus
@@ -230,62 +230,6 @@ class PackedRows(list):
                 fails = (mask & ~(row + (top - t) * ones)) >> width - 1
                 rows[v] = row & ~(fails * field) | fails * (V + 1)
         super().__init__(rows)
-
-
-# the block `packed_classes` reads: (row getter, V + 1, d, mask, bias, eps,
-# interior), with the getter bound once so that `map` builds no method wrapper
-# per vector; set by `packed_residues`
-_packed: tuple[Callable[[int], int], int, int, int, int, Fraction, bool] | None = None
-
-
-@contextmanager
-def packed_residues(
-    d: int, V: int, eps: Fraction | int = EPS_ONE, interior: bool = False
-) -> Iterator[PackedRows]:
-    """Answer `packed_classes`, and so the fast kernels, for vectors of index V
-    and length <= d at eps, in the closed simplex or its interior, from packed
-    rows with that verdict folded in.
-
-    The census enters this for an index with at least V candidates and leaves
-    it when the index is done, also on an exception; every row is built on
-    entry and dropped on exit.  The rows are module state because the kernels
-    keep their one-argument call, and eps = 1 is held as `EPS_ONE`, so that a
-    bare kernel call matches the block by identity.
-    """
-    global _packed
-    eps = checked_eps(eps)
-    eps = EPS_ONE if eps == EPS_ONE else eps
-    rows = PackedRows(d, V, eps, interior)
-    saved = _packed
-    _packed = (rows.__getitem__, V + 1, d, rows.mask, rows.bias, eps, interior)
-    try:
-        yield rows
-    finally:
-        _packed = saved
-
-
-def packed_classes(
-    w: tuple[int, ...], eps: Fraction | int = EPS_ONE, interior: bool = False
-) -> int | None:
-    """The classes of w in the closed simplex at eps, or in its interior, as a bitset.
-
-    Class k is bit width*k - 1 of the result, the top bit of field k-1 of
-    the rows.  Inside `packed_residues(d, V, eps, interior)`, for a vector of
-    index V and at most d weights, the top bit of a field of the sum of its
-    rows plus the bias is clear exactly when its class lies in the simplex
-    (see `PackedRows`), so `mask & ~(rows + bias)` holds those classes.  For
-    another index, length, eps or verdict the result is None, and the caller
-    takes the scalar pass; an eps not identical to the block's is checked.
-    """
-    packed = _packed
-    if packed is None:
-        return None
-    row, size, d, mask, bias, block_eps, block_interior = packed
-    if sum(w) != size or len(w) > d:
-        return None
-    if eps is not block_eps and checked_eps(eps) != block_eps or interior != block_interior:
-        return None
-    return mask & ~sum(map(row, w), bias)
 
 
 def residue_classes(n: WeightVector) -> Iterator[int]:

@@ -6,6 +6,12 @@ Work is partitioned by index V, which is embarrassingly parallel; the largest
 index is submitted first, and results are merged in V order so the output is
 identical for any worker count.  A block keeps its hits as one flat `array`
 of weights, d per hit, and builds no `WeightVector` for them.
+
+A block of at least V candidates owns the `PackedRows` of its index, with
+its eps and verdict folded in, and tests each candidate by one top-bit test
+on a sum of rows; the row sum of the first d - 2 weights is kept while they
+repeat, as they do along the last loop of the enumeration.  Any other block
+calls the scalar kernels of `classifier` once per candidate.
 """
 
 from __future__ import annotations
@@ -14,15 +20,13 @@ import operator
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, gcd
 from typing import Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
-from .exactgeom import WeightVector, _unchecked_weights, checked_eps, packed_residues
+from .exactgeom import PackedRows, WeightVector, _unchecked_weights, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -192,23 +196,42 @@ def _hit_typecode(v_max: int) -> str:
     return "H" if v_max < 1 << 16 else "Q"
 
 
+def _packed_passes(candidates: Iterator[WeightVector], rows: PackedRows) -> Iterator[tuple]:
+    """The weights of each candidate none of whose classes meets the verdict of rows.
+
+    Those classes are the bitset `mask & ~(sum of the rows of n + bias)` (see
+    `PackedRows`), which is empty iff the sum has every top bit of `mask`
+    set.  P, the bias plus the rows of all weights but the last two, is
+    summed again only when that prefix changes.
+    """
+    mask, prefix = rows.mask, None
+    for w in candidates:
+        n = w.n
+        if n[:-2] != prefix:
+            prefix = n[:-2]
+            P = sum([rows[v] for v in prefix], rows.bias)
+        if (P + rows[n[-2]] + rows[n[-1]]) & mask == mask:
+            yield n
+
+
 def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, array]:
     q, V, packed = args
     interior = q.verdict in ("canonical", "eps-lc")
-    kernel = is_canonical_fast if interior else is_terminal_fast
-    # called bare at eps = 1, the kernel keeps its default eps and skips the check
-    passes = kernel if q.eps == 1 else partial(kernel, eps=q.eps)
+    candidates = enumerate_blowups(q.d, V)
+    if packed:
+        passing = _packed_passes(candidates, PackedRows(q.d, V, q.eps, interior))
+    else:
+        kernel, eps = (is_canonical_fast if interior else is_terminal_fast), q.eps
+        # called bare at eps = 1, the kernel keeps its default eps
+        passing = (w.n for w in candidates if (kernel(w) if eps == 1 else kernel(w, eps)))
     least = q.min_weight or 1
     counts: dict[int, int] = {}
     hits = array(_hit_typecode(q.v_max))
-    with packed_residues(q.d, V, q.eps, interior) if packed else nullcontext():
-        for w in enumerate_blowups(q.d, V):
-            if passes(w):
-                n = w.n
-                m = n[0]  # the weights are nondecreasing
-                counts[m] = counts.get(m, 0) + 1
-                if m >= least:
-                    hits.extend(n)
+    for n in passing:
+        m = n[0]  # the weights are nondecreasing
+        counts[m] = counts.get(m, 0) + 1
+        if m >= least:
+            hits.extend(n)
     return counts, hits
 
 

@@ -25,8 +25,6 @@ from blowups.exactgeom import (
     classify_point,
     frac_point,
     lattice_points_in_shrunk_simplex,
-    packed_classes,
-    packed_residues,
     place_class,
     residue_classes,
     to_integer_lattice,
@@ -322,8 +320,14 @@ _EPSILONS = [EPS_ONE, *PRUNE_EPSILONS]  # the kernels' default object first
 _BLOCKS = [(e, interior) for e in _EPSILONS for interior in (False, True)]
 
 
+def _packed_bits(rows, w):
+    """The bitset of the classes of w that meet the verdict of rows: class k
+    is bit width*k - 1, the top bit of field k-1 (see `PackedRows`)."""
+    return rows.mask & ~(sum(rows[v] for v in w.n) + rows.bias)
+
+
 def _classes_of(bits, width):
-    """The classes k of a bitset of `packed_classes`, in k order: bit width*k - 1."""
+    """The classes k of a bitset of `_packed_bits`, in k order."""
     ks = []
     while bits:
         low = bits & -bits
@@ -335,28 +339,27 @@ def _classes_of(bits, width):
 def _scalar_placed(w):
     """Per block of `_BLOCKS`, the classes of the scalar pass that `place_class`
     puts in the closed simplex or in its interior, in k order, and the
-    verdict that follows: terminal or canonical iff there is none."""
+    verdict of the scalar kernel of that block."""
     classes = sorted(residue_classes(w))
     out = []
     for e in _EPSILONS:
         placed = [(k, place_class(w, k, e)) for k in classes]
         closed = [k for k, m in placed if m is not MembershipClass.OUTSIDE]
         interior = [k for k, m in placed if m is MembershipClass.INTERIOR]
-        out += [(closed, not closed), (interior, not interior)]
+        out += [(closed, is_terminal_fast(w, e)), (interior, is_canonical_fast(w, e))]
     return out
 
 
 def _packed_placed(ws, d, V, blocks=_BLOCKS):
     """`_scalar_placed` of each vector of ws, per block at (d, V): the classes
-    read off its bitset, and the verdict of the block's kernel called in it."""
+    read off its bitset, and the verdict that no class is left."""
     out = [[] for _ in ws]
     for e, interior in blocks:
-        kernel = is_canonical_fast if interior else is_terminal_fast
-        with packed_residues(d, V, e, interior) as rows:
-            for got, w in zip(out, ws):
-                bits = packed_classes(w.n, e, interior)
-                assert bits is not None, (w.n, e, interior)  # the block answers for w
-                got.append((_classes_of(bits, rows.width), kernel(w, e)))
+        rows = PackedRows(d, V, e, interior)
+        for got, w in zip(out, ws):
+            bits = _packed_bits(rows, w)
+            got.append((_classes_of(bits, rows.width), not bits))
+        del rows  # at V = 8,193 the rows of one block take 140 MB
     return out
 
 
@@ -440,9 +443,8 @@ def test_packed_all_ones_vector_fails_every_field(d):
     # in every block, and the vector is terminal at every eps
     w, V = WeightVector((1,) * d), d - 1
     for e, interior in _BLOCKS:
-        with packed_residues(d, V, e, interior) as rows:
-            assert rows.mask & (sum(rows[v] for v in w.n) + rows.bias) == rows.mask
-            assert packed_classes(w.n, e, interior) == 0
+        rows = PackedRows(d, V, e, interior)
+        assert rows.mask & (sum(rows[v] for v in w.n) + rows.bias) == rows.mask
     _check_packed_against_scalar([w], d, V)
 
 
@@ -450,70 +452,17 @@ def _verdicts_at_every_eps(w):
     return [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in _EPSILONS]
 
 
-def test_packed_kernels_answer_at_another_eps_or_verdict():
-    # in a block, a kernel of another eps or verdict takes the scalar pass
-    ws = list(enumerate_blowups(4, 24))
-    outside = [_verdicts_at_every_eps(w) for w in ws]
-    for e, interior in [(EPS_ONE, False), (EPS_ONE, True), (F(1, 2), True), (F(2, 3), False)]:
-        with packed_residues(4, 24, e, interior):
-            assert [_verdicts_at_every_eps(w) for w in ws] == outside, (e, interior)
-
-
-def test_packed_state_is_dropped_and_scoped_to_its_index():
-    assert exactgeom._packed is None
-    other = WeightVector((1, 2, 3, 5))  # index 10
-    wide = WeightVector((1, 2, 3, 4, 21))  # index 30, more weights than the fields allow
-    for w in (other, wide):
-        assert packed_classes(w.n) is None  # outside any block
-    verdicts = [_verdicts_at_every_eps(w) for w in (other, wide)]
-    with packed_residues(4, 30):
-        for w in (other, wide):
-            assert packed_classes(w.n) is None
-            assert packed_classes(w.n, F(1, 2), interior=True) is None
-        assert [_verdicts_at_every_eps(w) for w in (other, wide)] == verdicts
-        on = (1, 2, 3, 25)
-        assert packed_classes(on) is not None  # on its index, the block answers
-        assert packed_classes(on, F(1)) is not None and packed_classes(on, 1) is not None
-        assert packed_classes(on, F(1, 2)) is None  # at another eps
-        assert packed_classes(on, interior=True) is None  # for another verdict
-    with packed_residues(4, 30, F(1, 2), True):
-        assert packed_classes((1, 2, 3, 25), F(1, 2), True) is not None
-        assert packed_classes((1, 2, 3, 25), F(1, 2)) is None
-    assert exactgeom._packed is None
-    with pytest.raises(RuntimeError):
-        with packed_residues(4, 30):
-            assert exactgeom._packed is not None
-            raise RuntimeError
-    assert exactgeom._packed is None
-
-
-def test_packed_classes_checks_eps():
-    w = WeightVector((1, 2, 3, 5))
-    with packed_residues(4, 10):
-        with pytest.raises(ValueError):
-            packed_classes(w.n, F(3, 2))
-        with pytest.raises(TypeError):
-            packed_classes(w.n, 0.5, interior=True)
-    for eps, error in [(F(3, 2), ValueError), (0.5, TypeError)]:
-        with pytest.raises(error):
-            with packed_residues(4, 10, eps):
-                pass
-    assert exactgeom._packed is None
-
-
 @given(_large_index_vectors(min_d=2, max_d=6, max_index=419))
 @settings(max_examples=150, deadline=None)
 def test_kernels_match_mld_reference(w):
-    # terminal iff mld > eps, canonical iff mld >= eps, outside a block and
-    # in a block of each eps and verdict
+    # terminal iff mld > eps, canonical iff mld >= eps, by the scalar kernels
+    # and by the bitset of packed rows of each eps and verdict
     mld = mld_reference(w)
     expected = [(mld > e, mld >= e) for e in _EPSILONS]
     assert _verdicts_at_every_eps(w) == expected, w.n
     for e, interior in _BLOCKS:
-        kernel = is_canonical_fast if interior else is_terminal_fast
-        with packed_residues(w.d, w.V, e, interior):
-            assert packed_classes(w.n, e, interior) is not None  # the block answers
-            assert kernel(w, e) == (mld >= e if interior else mld > e), (w.n, e, interior)
+        passes = not _packed_bits(PackedRows(w.d, w.V, e, interior), w)
+        assert passes == (mld >= e if interior else mld > e), (w.n, e, interior)
 
 
 def test_mld_reference_examples():

@@ -151,6 +151,14 @@ GOLDEN = [
     (("census", "--threads", "1", "--dim", "4", "--vmin", "126", "--vmax", "130",
       "--verdict", "canonical"),
      "96006d9a1bbc8e8447afbf95848666a0e5de33a7e012e860d3998ad71b4c6c94", 0),
+    # taken while packed census blocks still answered through the kernels and
+    # summed all d rows of each candidate: d = 6, the first dimension whose
+    # blocks keep a prefix of four weights, in two verdicts
+    (("census", "--threads", "1", "--dim", "6", "--vmax", "20"),
+     "287058355bbf5efd87ca481dc7b3b079ffae30101ee3d67ee1c8d11bc6abef42", 0),
+    (("census", "--threads", "1", "--dim", "6", "--vmax", "20",
+      "--epsilon", "1/2", "--verdict", "eps-lc"),
+     "0787a3f14c3155005994fb611693d33b6ee33804fb848e3c5ff082591f1783eb", 0),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -10,7 +11,7 @@ import pytest
 
 from blowups import classifier, exactgeom, search
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
-from blowups.exactgeom import EPS_ONE, WeightVector
+from blowups.exactgeom import WeightVector
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
@@ -23,7 +24,7 @@ from blowups.search import (
     run_census,
 )
 
-from conftest import flags_from_brute
+from conftest import PRUNE_EPSILONS, flags_from_brute
 
 F = Fraction
 
@@ -191,34 +192,30 @@ def test_census_refuses_workers_below_one(monkeypatch, workers):
 
 @pytest.mark.parametrize("d,first", [(2, 25), (3, 10), (4, 9), (5, 10)])
 def test_census_packs_an_index_with_at_least_V_candidates(monkeypatch, d, first):
-    # an index enters a block of (V, d) at eps = 1, held as the kernel's
-    # default object, when V + 1 has at least V partitions into d parts: at
-    # d = 2, with (V+1)//2 of them, only V = 1, whose one candidate has no class
-    seen = {}
-    kernel = search.is_terminal_fast
+    # an index builds the rows of (d, V) at eps = 1 in the closed simplex
+    # when V + 1 has at least V partitions into d parts: at d = 2, with
+    # (V+1)//2 of them, only V = 1, whose one candidate has no class.  Every
+    # other index calls the kernel once per candidate, with the vector alone
+    built, called = [], Counter()
+    rows, kernel = search.PackedRows, search.is_terminal_fast
+
+    def recording_rows(*args):
+        built.append(args)
+        return rows(*args)
 
     def recording_kernel(w):
-        state = exactgeom._packed
-        block = state is not None and (state[1] - 1, state[2], state[5] is EPS_ONE, state[6])
-        seen.setdefault(sum(w.n) - 1, set()).add(block)
+        called[w.V] += 1
         return kernel(w)
 
+    monkeypatch.setattr(search, "PackedRows", recording_rows)
     monkeypatch.setattr(search, "is_terminal_fast", recording_kernel)
     run_census(CensusQuery(d=d, v_max=24))
     packed = {V for V in range(d - 1, 25) if partition_count(V + 1, d) >= V}
     assert packed == {*range(first, 25)} | ({1} if d == 2 else set())
-    assert seen == {
-        V: {(V, d, True, False)} if V in packed else {False} for V in range(d - 1, 25)
-    }
-    assert exactgeom._packed is None
-
-    def failing_kernel(w):
-        raise RuntimeError("kernel failed")
-
-    monkeypatch.setattr(search, "is_terminal_fast", failing_kernel)
-    with pytest.raises(RuntimeError):
-        search._census_block((CensusQuery(d=d, v_max=20), 20, True))
-    assert exactgeom._packed is None
+    assert sorted(built) == [(d, V, F(1), False) for V in sorted(packed)]
+    assert called == Counter(
+        w.V for V in range(d - 1, 25) if V not in packed for w in enumerate_blowups(d, V)
+    )
 
 
 def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
@@ -227,7 +224,7 @@ def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
     def refuse(*args):
         raise AssertionError("packed rows were built")
 
-    monkeypatch.setattr(exactgeom, "PackedRows", refuse)
+    monkeypatch.setattr(search, "PackedRows", refuse)
     got = run_census(CensusQuery(d=398, v_min=400, v_max=400))
     assert [(h.n.count(1), h.n[-3:]) for h in got.hits] == [
         (397, (1, 1, 4)), (396, (1, 2, 3)), (395, (2, 2, 2))
@@ -239,22 +236,46 @@ def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
     "verdict,eps", [("terminal", 1), ("canonical", 1), ("eps-lt", F(2, 3)), ("eps-lc", F(1, 2))]
 )
 def test_census_block_never_places_a_class(monkeypatch, verdict, eps):
-    # inside a packed block every verdict is one bitset: no class is iterated
-    # or placed, and the hits are those of the scalar kernels
+    # a packed block tests every verdict by one bitset: no kernel is called
+    # and no class is iterated or placed, and the hits are those of the
+    # scalar kernels
     q = CensusQuery(d=4, v_max=30, eps=eps, verdict=verdict)
     kernel = is_terminal_fast if verdict in ("terminal", "eps-lt") else is_canonical_fast
     expected = [w for w in enumerate_blowups(4, 30) if kernel(w, eps)]
 
     def failing(*args):
-        raise AssertionError("a class was iterated or placed")
+        raise AssertionError("a kernel was called or a class iterated or placed")
 
     for module in (classifier, exactgeom):
         monkeypatch.setattr(module, "place_class", failing)
         monkeypatch.setattr(module, "residue_classes", failing)
+    monkeypatch.setattr(search, "is_terminal_fast", failing)
+    monkeypatch.setattr(search, "is_canonical_fast", failing)
     counts, hits = search._census_block((q, 30, True))
     # one flat array of the hits' weights, 4 per hit, in enumeration order
     assert hits.typecode == "H" and hits.tolist() == [x for w in expected for x in w.n]
     assert sum(counts.values()) == len(expected) > 0
+
+
+# every verdict: both at eps = 1, and both eps verdicts at each eps < 1
+_CENSUS_VERDICTS = [("terminal", F(1)), ("canonical", F(1))] + [
+    (verdict, e) for e in PRUNE_EPSILONS if e < 1 for verdict in ("eps-lt", "eps-lc")
+]
+
+
+@pytest.mark.parametrize("d,vmax", [(2, 80), (3, 60), (4, 36), (5, 24), (6, 20)])
+def test_census_matches_scalar_kernels_exhaustive(d, vmax):
+    # the census, packed blocks and scalar ones, against the enumeration and
+    # one scalar kernel call per candidate, from V = 1 (at d = 2 a packed
+    # block whose prefix is empty and whose one candidate has no class)
+    assert any(partition_count(V + 1, d) >= V for V in range(d - 1, vmax + 1))
+    ws = [w for V in range(1, vmax + 1) for w in enumerate_blowups(d, V)]
+    for verdict, eps in _CENSUS_VERDICTS:
+        kernel = is_canonical_fast if verdict in ("canonical", "eps-lc") else is_terminal_fast
+        expected = [w for w in ws if kernel(w, eps)]
+        got = run_census(CensusQuery(d=d, v_max=vmax, eps=eps, verdict=verdict))
+        assert got.hits == expected, (verdict, eps)
+        assert got.histogram.counts == Counter(w.n_min for w in expected), (verdict, eps)
 
 
 def test_census_hit_array_holds_every_weight():
