@@ -52,7 +52,7 @@ class SingularityClass:
         return self.witness is None or self.witness.membership is not INTERIOR
 
 
-def classify(n: WeightVector, eps: Fraction | int = 1) -> SingularityClass:
+def classify(n: WeightVector, eps: Fraction | int = EPS_ONE) -> SingularityClass:
     """Decide eps-log terminal / eps-log canonical for the blowup with weights n.
 
     Terminal means the shrunk simplex meets the coset lattice only in

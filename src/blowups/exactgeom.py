@@ -13,13 +13,8 @@ The residue pass `residue_classes` yields the classes k >= 1 whose point
 frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
 a given eps; the fast kernels in `classifier` and the coset enumeration here
 stand on them, each by one scalar pass.  A census block of at least V
-candidates builds instead the `PackedRows` of its index: one integer per
-weight value holds all its residues in w-bit fields, w the least width with
-2^(w-1) > d*V, each residue that fails the block's one verdict at eps
-replaced by V + 1.  One recurrence of big-integer additions builds all V+1
-rows, (V+1)(V-1)*w bits, and a few more additions give the bitset of the
-classes of a vector that lie in the closed or open simplex, at every eps by
-the same top-bit test.
+candidates decides them instead through the `PackedRows` of its index, whose
+docstring holds the packed format, its read rule and the block's pass.
 A witness is a class k and its membership.  An independent brute-force scan
 of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.
@@ -34,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 EPS_ONE = Fraction(1)  # the kernels' default eps
@@ -159,7 +154,7 @@ def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:
 
 
 def classify_point(
-    x: Sequence[Fraction | int], n: WeightVector, eps: Fraction | int = 1
+    x: Sequence[Fraction | int], n: WeightVector, eps: Fraction | int = EPS_ONE
 ) -> MembershipClass:
     """Classify x against the simplex of (n, eps) by exact barycentric coordinates."""
     eps = checked_eps(eps)
@@ -183,7 +178,8 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
 
 class PackedRows(list):
     """The residues of every weight value at one index V, packed one int a
-    value, with one verdict at eps = a/b folded in.
+    value, with one verdict at eps = a/b folded in: the packed census format,
+    which no other module reads.
 
     Item v = 0..V holds in field k-1, at bit w*(k-1), the residue k*v mod V
     of k = 1..V-1, or V + 1 where it fails the verdict: the point of class k
@@ -198,8 +194,15 @@ class PackedRows(list):
     V + 1 and m <= V + 1, as the weights are positive and sum to V + 1, so
     s'(k) <= m*(V+1) <= d*V + V + 1 < 2^(w-1) + V + 1, and 2^(w-1) > V.  The
     top bit is thus clear exactly when s'(k) <= V: when the class lies in
-    the simplex.  So `mask & ~(sum of the rows of n + bias)` is the bitset of
-    the classes of n that meet the verdict, class k at bit w*k - 1.
+    the simplex.  So `classes(n)`, `mask & ~(sum of the rows of n + bias)`,
+    is the bitset of the classes of the weights n that meet the verdict,
+    class k at bit w*k - 1.
+
+    `passes` tests a run of candidates by the same rule without negating a
+    big integer: the bitset is empty iff the sum has every bit of `mask`
+    set.  P, the bias plus the rows of all weights but the last two, is
+    summed again only when that prefix changes, so along the last loop of
+    `enumerate_blowups` each candidate costs two additions.
 
     Row 1 is the low V-1 fields of ones*ones, and row v+1 is row v plus row
     1, less V in each field that reaches V: the top bits of the sum plus
@@ -222,14 +225,29 @@ class PackedRows(list):
             row += step
             row -= (((row + reach) & mask) >> width - 1) * V
             rows.append(row)
-        a, b, field = eps.numerator, eps.denominator, (1 << width) - 1
+        a, b, full = eps.numerator, eps.denominator, (1 << width) - 1
         for v, row in enumerate(rows):
             c = (b - a) * v  # t is the least residue that meets the inequality of v
             t = c // b + 1 if interior else -(-c // b)
             if t:
                 fails = (mask & ~(row + (top - t) * ones)) >> width - 1
-                rows[v] = row & ~(fails * field) | fails * (V + 1)
+                rows[v] = row & ~(fails * full) | fails * (V + 1)
         super().__init__(rows)
+
+    def classes(self, n: Sequence[int]) -> int:
+        """The bitset of the classes of the weights n that meet the verdict."""
+        return self.mask & ~sum([self[v] for v in n], self.bias)
+
+    def passes(self, candidates: Iterable[WeightVector]) -> Iterator[tuple[int, ...]]:
+        """The weights of each candidate none of whose classes meets the verdict."""
+        mask, prefix = self.mask, None
+        for w in candidates:
+            n = w.n
+            if n[:-2] != prefix:
+                prefix = n[:-2]
+                P = sum([self[v] for v in prefix], self.bias)
+            if (P + self[n[-2]] + self[n[-1]]) & mask == mask:
+                yield n
 
 
 def residue_classes(n: WeightVector) -> Iterator[int]:
@@ -245,8 +263,7 @@ def residue_classes(n: WeightVector) -> Iterator[int]:
     At even V the class V/2 is its own complement and is yielded once.
     Classes come in pairs (k, V-k), not in k order.
     """
-    w = n.n
-    V = sum(w) - 1
+    w, V = n.n, n.V
     top = (len(w) - 1) * V  # s(V-k) <= V reads s(k) + z*V >= top
     for k in range(1, V // 2 + 1):
         s = z = 0
@@ -284,7 +301,7 @@ def place_class(n: WeightVector, k: int, eps: Fraction) -> MembershipClass:
 
 
 def lattice_points_in_shrunk_simplex(
-    n: WeightVector, eps: Fraction | int = 1
+    n: WeightVector, eps: Fraction | int = EPS_ONE
 ) -> list[LatticeWitness]:
     """The classes k whose point lies in the closed simplex of (n, eps), in k order.
 
@@ -303,7 +320,7 @@ def lattice_points_in_shrunk_simplex(
 
 
 def brute_force_lattice_points(
-    n: WeightVector, eps: Fraction | int = 1
+    n: WeightVector, eps: Fraction | int = EPS_ONE
 ) -> list[tuple[tuple[int, ...], MembershipClass]]:
     """Integer points of the closed simplex eps * Conv(e_1, ..., e_d, n).
 

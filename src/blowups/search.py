@@ -7,11 +7,9 @@ index is submitted first, and results are merged in V order so the output is
 identical for any worker count.  A block keeps its hits as one flat `array`
 of weights, d per hit, and builds no `WeightVector` for them.
 
-A block of at least V candidates owns the `PackedRows` of its index, with
-its eps and verdict folded in, and tests each candidate by one top-bit test
-on a sum of rows; the row sum of the first d - 2 weights is kept while they
-repeat, as they do along the last loop of the enumeration.  Any other block
-calls the scalar kernels of `classifier` once per candidate.
+A block of at least V candidates tests them by `PackedRows.passes` of its
+index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
+the scalar kernels of `classifier` once per candidate.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from math import comb, factorial, gcd
 from typing import Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
-from .exactgeom import PackedRows, WeightVector, _unchecked_weights, checked_eps
+from .exactgeom import EPS_ONE, PackedRows, WeightVector, _unchecked_weights, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -40,7 +38,7 @@ class CensusQuery:
     d: int
     v_max: int
     v_min: int = 1
-    eps: Fraction = Fraction(1)
+    eps: Fraction = EPS_ONE
     verdict: str = "terminal"
     min_weight: int | None = None
     budget: int = 10**11  # residue steps
@@ -196,30 +194,12 @@ def _hit_typecode(v_max: int) -> str:
     return "H" if v_max < 1 << 16 else "Q"
 
 
-def _packed_passes(candidates: Iterator[WeightVector], rows: PackedRows) -> Iterator[tuple]:
-    """The weights of each candidate none of whose classes meets the verdict of rows.
-
-    Those classes are the bitset `mask & ~(sum of the rows of n + bias)` (see
-    `PackedRows`), which is empty iff the sum has every top bit of `mask`
-    set.  P, the bias plus the rows of all weights but the last two, is
-    summed again only when that prefix changes.
-    """
-    mask, prefix = rows.mask, None
-    for w in candidates:
-        n = w.n
-        if n[:-2] != prefix:
-            prefix = n[:-2]
-            P = sum([rows[v] for v in prefix], rows.bias)
-        if (P + rows[n[-2]] + rows[n[-1]]) & mask == mask:
-            yield n
-
-
 def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, array]:
     q, V, packed = args
     interior = q.verdict in ("canonical", "eps-lc")
     candidates = enumerate_blowups(q.d, V)
     if packed:
-        passing = _packed_passes(candidates, PackedRows(q.d, V, q.eps, interior))
+        passing = PackedRows(q.d, V, q.eps, interior).passes(candidates)
     else:
         kernel, eps = (is_canonical_fast if interior else is_terminal_fast), q.eps
         # called bare at eps = 1, the kernel keeps its default eps

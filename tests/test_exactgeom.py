@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import pickle
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from blowups.classifier import is_canonical_fast, is_terminal_fast
+from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups import exactgeom
 from blowups.exactgeom import (
     EPS_ONE,
@@ -29,7 +31,7 @@ from blowups.exactgeom import (
     residue_classes,
     to_integer_lattice,
 )
-from blowups.search import enumerate_blowups
+from blowups.search import CensusQuery, enumerate_blowups, partition_count
 
 from conftest import (
     PRUNE_EPSILONS,
@@ -103,6 +105,13 @@ def test_membership_layer_rejects_bad_eps():
         with pytest.raises(ValueError, match=rf"in \(0, 1\], got {eps}$"):
             checked_eps(eps)
     assert checked_eps(F(1)) == 1 and checked_eps(F(2, 3)) == F(2, 3)
+    # every eps default is the one object EPS_ONE, which `checked_eps` returns as is
+    defaults = [
+        inspect.signature(f).parameters["eps"].default
+        for f in (lattice_points_in_shrunk_simplex, classify_point, brute_force_lattice_points,
+                  classify, is_terminal_fast, is_canonical_fast, CensusQuery)
+    ]
+    assert all(x is EPS_ONE is checked_eps(x) for x in defaults), defaults
 
 
 def test_checked_eps_text():
@@ -320,14 +329,8 @@ _EPSILONS = [EPS_ONE, *PRUNE_EPSILONS]  # the kernels' default object first
 _BLOCKS = [(e, interior) for e in _EPSILONS for interior in (False, True)]
 
 
-def _packed_bits(rows, w):
-    """The bitset of the classes of w that meet the verdict of rows: class k
-    is bit width*k - 1, the top bit of field k-1 (see `PackedRows`)."""
-    return rows.mask & ~(sum(rows[v] for v in w.n) + rows.bias)
-
-
 def _classes_of(bits, width):
-    """The classes k of a bitset of `_packed_bits`, in k order."""
+    """The classes k of a bitset of `PackedRows.classes`, in k order."""
     ks = []
     while bits:
         low = bits & -bits
@@ -357,7 +360,7 @@ def _packed_placed(ws, d, V, blocks=_BLOCKS):
     for e, interior in blocks:
         rows = PackedRows(d, V, e, interior)
         for got, w in zip(out, ws):
-            bits = _packed_bits(rows, w)
+            bits = rows.classes(w.n)
             got.append((_classes_of(bits, rows.width), not bits))
         del rows  # at V = 8,193 the rows of one block take 140 MB
     return out
@@ -409,6 +412,34 @@ def test_packed_pass_matches_scalar_sampled(w):
     _check_packed_against_scalar([w], w.d, w.V)
 
 
+@st.composite
+def _candidate_windows(draw):
+    # a block of `_BLOCKS` at d = 3..6, V <= 419, and up to 2,000 consecutive
+    # candidates of the enumeration from an offset of at most 500,000: any
+    # offset at d <= 4, and a skip of at most 0.2 s where an index has
+    # millions of candidates
+    d = draw(st.integers(3, 6))
+    V = draw(st.integers(d - 1, 419))
+    block = draw(st.sampled_from(_BLOCKS))
+    offset = draw(st.integers(0, min(partition_count(V + 1, d) - 1, 500_000)))
+    size = draw(st.integers(1, 2000))
+    window = list(islice(enumerate_blowups(d, V), offset, offset + size))
+    assume(window)  # the partitions counted include imprimitive ones
+    return PackedRows(d, V, *block), block, window
+
+
+@given(_candidate_windows())
+@settings(max_examples=60, deadline=None)
+def test_packed_passes_match_classes_and_kernel_sampled(drawn):
+    # the prefix cache of `passes`, across the prefix changes of a window,
+    # against the bitset of each candidate and the scalar kernel of the block
+    rows, (e, interior), window = drawn
+    kernel = is_canonical_fast if interior else is_terminal_fast
+    got = list(rows.passes(window))
+    assert got == [w.n for w in window if not rows.classes(w.n)]
+    assert got == [w.n for w in window if kernel(w, e)]
+
+
 def test_packed_field_width_edges():
     # both sides of d*V = 2^j at d = 2..5 and j = 6, 7: at d = 4, d*V = 124
     # fits 8-bit fields and d*V = 128 needs 9 bits
@@ -444,7 +475,7 @@ def test_packed_all_ones_vector_fails_every_field(d):
     w, V = WeightVector((1,) * d), d - 1
     for e, interior in _BLOCKS:
         rows = PackedRows(d, V, e, interior)
-        assert rows.mask & (sum(rows[v] for v in w.n) + rows.bias) == rows.mask
+        assert rows.classes(w.n) == 0
     _check_packed_against_scalar([w], d, V)
 
 
@@ -461,7 +492,7 @@ def test_kernels_match_mld_reference(w):
     expected = [(mld > e, mld >= e) for e in _EPSILONS]
     assert _verdicts_at_every_eps(w) == expected, w.n
     for e, interior in _BLOCKS:
-        passes = not _packed_bits(PackedRows(w.d, w.V, e, interior), w)
+        passes = not PackedRows(w.d, w.V, e, interior).classes(w.n)
         assert passes == (mld >= e if interior else mld > e), (w.n, e, interior)
 
 

@@ -162,6 +162,22 @@ def test_census_deterministic_across_workers():
         c = run_census(q, workers=3)
         assert a.histogram.counts == b.histogram.counts == c.histogram.counts, q
         assert a.hits == b.hits == c.hits, q
+    # every verdict, with packed blocks built in pool workers at d = 3..6
+    # (at d = 6 each keeps the row sum of a prefix of four weights): the
+    # whole result, histogram and hit arrays, at one and two workers
+    queries = (
+        CensusQuery(d=4, v_max=30),
+        CensusQuery(d=3, v_max=40, eps=F(2, 3), verdict="eps-lt"),
+        CensusQuery(d=3, v_max=60, verdict="canonical"),
+        CensusQuery(d=3, v_max=60, eps=F(1, 2), verdict="eps-lc"),
+        CensusQuery(d=5, v_max=24),
+        CensusQuery(d=4, v_max=40, eps=F(1, 2), verdict="eps-lc"),
+        CensusQuery(d=6, v_max=20),
+        CensusQuery(d=4, v_max=40, verdict="canonical"),
+        CensusQuery(d=5, v_max=24, eps=F(2, 3), verdict="eps-lt"),
+    )
+    for q in queries:
+        assert run_census(q, workers=1) == run_census(q, workers=2), q
 
 
 def test_census_submits_largest_index_first(monkeypatch):
