@@ -144,15 +144,17 @@ def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
         raise ValueError(f"{label} has a fixed correction sign")
     if V < 1:
         raise ValueError("index V must be positive")
-    entries = []
-    for b, m in zip(q.base, q.nums):
-        c, rest = divmod(sign * V * m, q.index)
-        if rest:
-            raise DivisibilityError(
-                f"{label} needs V divisible by {q.index // gcd(m, q.index)}, got V={V}"
-            )
-        entries.append(b + c)
-    return tuple(entries)
+    # the nums share no factor with index, so every entry is integral iff
+    # index divides V, and sign does not matter
+    if V % q.index:
+        m = next(m for m in q.nums if V * m % q.index)  # the first one not integral
+        raise DivisibilityError(
+            f"{label} needs V divisible by {q.index // gcd(m, q.index)}, got V={V}"
+        )
+    if q.index == 1:
+        return q.base
+    c = sign * V // q.index
+    return tuple(b + c * m for b, m in zip(q.base, q.nums))
 
 
 def apex_residues(
@@ -170,8 +172,8 @@ def apex_residues(
     if gcd(al, V) != 1:
         return None
     unit = -pow(al, -1, V)
-    w = tuple(x * unit % V for i, x in enumerate(a) if i != apex - 1)
-    return w if sum(w) == V + 1 else None
+    w = [x * unit % V for x in a[: apex - 1] + a[apex:]]
+    return tuple(w) if sum(w) == V + 1 else None
 
 
 def _blowup(a: tuple[int, ...], apex: int, V: int) -> WeightVector | None:

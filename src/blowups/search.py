@@ -10,14 +10,19 @@ of weights, d per hit, and builds no `WeightVector` for them.
 A block of at least V candidates tests them by `PackedRows.passes` of its
 index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
 the scalar kernels of `classifier` once per candidate.
+
+The process pool is imported by the first census that starts one, so a
+serial census, or any other command, never loads `concurrent.futures` or
+`multiprocessing`; `search.ProcessPoolExecutor` stays a module attribute,
+resolved on first read.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -27,6 +32,16 @@ from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import EPS_ONE, PackedRows, WeightVector, _unchecked_weights, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
+
+
+def __getattr__(name: str):
+    # PEP 562: the pool's import is paid on the first read of its name
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BudgetExceeded(RuntimeError):
@@ -264,7 +279,8 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     if workers <= 1:
         blocks = [_census_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read through the module, so its lazy import and any class set on it apply
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_census_block, tasks, chunksize=1))
     blocks.reverse()  # back to V order for the merge
     hist = Histogram()

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +330,89 @@ def test_pool_size_capped_at_affinity(monkeypatch):
     monkeypatch.setattr("blowups.search.os.sched_getaffinity",
                         lambda pid: set(range(16)), raising=False)
     assert pool_size(64, 100) == 8
+
+
+SRC = str(Path(search.__file__).resolve().parents[1])
+needs_two_workers = pytest.mark.skipif(
+    pool_size(2, 2) == 1, reason="one CPU: a census starts no pool"
+)
+
+
+def _python(code: str) -> str:
+    # a fresh isolated interpreter that imports the package from this source tree
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, SRC],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_commands_without_a_pool_never_import_one():
+    out = _python(
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from blowups import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['classify', '--weights', '32,41,71,102']) == 0\n"
+        "    assert cli.main(['family', '--id', 'Q29', '--apex', '2', '--volume', '37']) == 0\n"
+        "    assert cli.main(['family-scan', '--vmax', '30']) == 0\n"
+        "    assert cli.main(['sporadic', '--fixtures']) == 0\n"
+        "    assert cli.main(['width', '--points', '[[0,0],[2,0],[0,2]]']) == 0\n"
+        "    assert cli.main(['census', '--dim', '4', '--vmax', '30', '--threads', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    assert out == "[]\n"
+
+
+def test_pool_class_is_the_module_attribute():
+    import concurrent.futures
+
+    assert search.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="has no attribute 'ThreadPoolExecutor'"):
+        search.ThreadPoolExecutor
+
+
+@needs_two_workers
+def test_pooled_census_loads_the_pool_and_matches_serial():
+    q = CensusQuery(d=4, v_max=30)
+    pooled = run_census(q, workers=2)
+    assert "concurrent.futures.process" in sys.modules
+    assert pooled == run_census(q, workers=1)
+
+
+@needs_two_workers
+def test_census_enters_the_pool_class_set_on_the_module(monkeypatch):
+    # a class set on `search.ProcessPoolExecutor` is the one a census enters
+    entered = []
+
+    class RecordingPool(search.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    q = CensusQuery(d=3, v_max=20)
+    assert run_census(q, workers=2) == run_census(q, workers=1)
+    assert entered == [2]
+
+
+@needs_two_workers
+def test_spawned_workers_import_the_package_from_scratch():
+    # spawn-started workers re-import `blowups.search`, which has no pool yet
+    out = _python(
+        "import multiprocessing, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from blowups.search import CensusQuery, run_census\n"
+        "q = CensusQuery(d=4, v_max=30)\n"
+        "pooled = run_census(q, workers=2)\n"
+        "assert pooled == run_census(q, workers=1)\n"
+        "print(pooled.histogram.items(), [(V, w.tolist()) for V, w in pooled.blocks])\n"
+    )
+    serial = run_census(CensusQuery(d=4, v_max=30), workers=1)
+    assert out == f"{serial.histogram.items()} {[(V, w.tolist()) for V, w in serial.blocks]}\n"
 
 
 def test_census_budget_guard():
