@@ -71,25 +71,28 @@ def _histogram_csv(items) -> list[str]:
     return ["n_min,count", *(f"{k},{c}" for k, c in items)]
 
 
-def _block_args(weights, d: int, at: int) -> tuple[int, ...]:
-    """The weights of a block's hits, d per hit, each hit with its n_min, its
-    first weight, put in at position `at` of its d + 1 fields."""
-    args = [0] * (len(weights) // d * (d + 1))
-    args[at :: d + 1] = weights[::d]
-    for i in range(d):
-        args[i + (i >= at) :: d + 1] = weights[i::d]
-    return tuple(args)
+def _hit_rows(result, row: str, at: int, sep: str) -> Iterator[str]:
+    """One chunk per block: `row % V` once per hit, joined and led by `sep`
+    (no lead on the first), then filled with each hit's d weights and its
+    n_min, its first weight, put in at position `at` of its d + 1 fields."""
+    d, lead = result.d, ""
+    for V, weights in result.blocks:
+        args = [0] * (len(weights) // d * (d + 1))
+        args[at :: d + 1] = weights[::d]
+        for i in range(d):
+            args[i + (i >= at) :: d + 1] = weights[i::d]
+        yield lead + sep.join([row % V] * (len(weights) // d)) % tuple(args)
+        lead = sep
 
 
-def _census_csv(result, d: int) -> Iterator[str]:
+def _census_csv(result) -> Iterator[str]:
+    d = result.d
     lines = _histogram_csv(result.histogram.items())
     lines.append("")
     lines.append("V," + ",".join(f"n_{i + 1}" for i in range(d)) + ",n_min")
     yield "\n".join(lines) + "\n"
-    row = ",".join(["%d"] * (d + 1))  # the weights, n_min
-    for V, weights in result.blocks:
-        rows = "\n".join([f"{V},{row}"] * (len(weights) // d))
-        yield rows % _block_args(weights, d, d) + "\n"
+    # V, the weights, n_min
+    yield from _hit_rows(result, "%d," + ",".join(["%%d"] * (d + 1)) + "\n", d, "")
 
 
 def cmd_census(args) -> tuple[Iterable[str], int]:
@@ -104,7 +107,7 @@ def cmd_census(args) -> tuple[Iterable[str], int]:
     )
     result = run_census(query, workers=args.threads)
     if args.format == "csv":
-        return _census_csv(result, query.d), 0
+        return _census_csv(result), 0
     return _census_json(query, result), 0
 
 
@@ -138,11 +141,7 @@ def _census_json(query: CensusQuery, result) -> Iterator[str]:
         + ",\n        ".join(["%%d"] * query.d)
         + "\n      ]\n    }"
     )
-    sep = ""
-    for V, weights in result.blocks:
-        hits = ",\n".join([hit % V] * (len(weights) // query.d))
-        yield sep + hits % _block_args(weights, query.d, 0)
-        sep = ",\n"
+    yield from _hit_rows(result, hit, 0, ",\n")
     yield "\n  ]" + after
 
 

@@ -5,11 +5,15 @@ nondecreasing) since the classification flags are permutation invariant.
 Work is partitioned by index V, which is embarrassingly parallel; the largest
 index is submitted first, and results are merged in V order so the output is
 identical for any worker count.  A block keeps its hits as one flat `array`
-of weights, d per hit, and builds no `WeightVector` for them.
+of weights, d per hit, and builds no `WeightVector` for them.  The hits come
+in lex order, each nondecreasing, so the first column of the array is the
+sorted n_min column: the block's histogram counts it, and the min-weight
+filter cuts the array at one `bisect_left` on it.
 
 A block of at least V candidates tests them by `PackedRows.passes` of its
 index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
-the scalar kernels of `classifier` once per candidate.
+the scalar kernel of `classifier` for its verdict once per candidate, chosen
+with its eps once per block.
 
 The process pool is imported by the first census that starts one, so a
 serial census, or any other command, never loads `concurrent.futures` or
@@ -23,8 +27,12 @@ import operator
 import os
 import sys
 from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import comb, factorial, gcd
 from typing import Iterator
 
@@ -99,7 +107,9 @@ class CensusResult:
     """The histogram of a census and its hits, as (V, weights) blocks in V order.
 
     The weights of a block are those of its hits in lex order, d per hit,
-    each hit nondecreasing, so its smallest weight comes first.
+    each hit nondecreasing, so its smallest weight comes first and the
+    block's first column, `weights[::d]`, is its sorted n_min column; the
+    histogram and the min-weight cut were read off that column.
     """
 
     histogram: Histogram
@@ -216,18 +226,14 @@ def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, array]:
     if packed:
         passing = PackedRows(q.d, V, q.eps, interior).passes(candidates)
     else:
-        kernel, eps = (is_canonical_fast if interior else is_terminal_fast), q.eps
-        # called bare at eps = 1, the kernel keeps its default eps
-        passing = (w.n for w in candidates if (kernel(w) if eps == 1 else kernel(w, eps)))
-    least = q.min_weight or 1
-    counts: dict[int, int] = {}
-    hits = array(_hit_typecode(q.v_max))
-    for n in passing:
-        m = n[0]  # the weights are nondecreasing
-        counts[m] = counts.get(m, 0) + 1
-        if m >= least:
-            hits.extend(n)
-    return counts, hits
+        kernel = is_canonical_fast if interior else is_terminal_fast
+        if q.eps != 1:  # called bare at eps = 1, the kernel keeps its default eps
+            kernel = partial(kernel, eps=q.eps)
+        passing = (w.n for w in candidates if kernel(w))
+    hits = array(_hit_typecode(q.v_max), chain.from_iterable(passing))
+    n_min = hits[:: q.d]  # sorted: the weights are nondecreasing, the hits in lex order
+    del hits[: bisect_left(n_min, q.min_weight or 1) * q.d]
+    return Counter(n_min), hits
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -242,6 +248,15 @@ def pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, cpus))
 
 
+def _check_budget(q: CensusQuery, bound: str, count: int) -> None:
+    # a candidate of index V costs at most d*V residue steps in either kernel
+    steps = count * q.d * q.v_max
+    if steps > q.budget:
+        raise BudgetExceeded(
+            f"{bound} {count} candidates, {steps} residue steps, exceed budget {q.budget}"
+        )
+
+
 def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     """Classify every candidate in the index range and aggregate smallest weights.
 
@@ -251,25 +266,13 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    # a candidate of index V costs at most d*V residue steps in either kernel
-    per_candidate = q.d * q.v_max
     # the exact count takes about min(d, j) * j additions, j = v_max + 1 - d;
     # above a million, a closed-form lower bound gets the chance to refuse first
     j = max(q.v_max + 1 - q.d, 0)
     if min(q.d, j) * j > 10**6:
-        lower = _candidates_lower_bound(q)
-        if lower * per_candidate > q.budget:
-            raise BudgetExceeded(
-                f"at least {lower} candidates, {lower * per_candidate} residue"
-                f" steps, exceed budget {q.budget}"
-            )
+        _check_budget(q, "at least", _candidates_lower_bound(q))
     candidates = _candidate_counts(q)
-    projected = sum(candidates)
-    if projected * per_candidate > q.budget:
-        raise BudgetExceeded(
-            f"projected {projected} candidates, {projected * per_candidate}"
-            f" residue steps, exceed budget {q.budget}"
-        )
+    _check_budget(q, "projected", sum(candidates))
     # an index is packed when its V+1 rows serve at least V candidates, so
     # d = 2 and the few candidates of an index near d, whose rows would grow
     # like V^2, stay scalar; the largest, heaviest index starts first
@@ -283,11 +286,6 @@ def run_census(q: CensusQuery, workers: int = 1) -> CensusResult:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_census_block, tasks, chunksize=1))
     blocks.reverse()  # back to V order for the merge
-    hist = Histogram()
-    hits: list[tuple[int, array]] = []
-    for V, (counts, weights) in enumerate(blocks, _first_index(q)):
-        for key, c in counts.items():
-            hist.add(key, c)
-        if weights:
-            hits.append((V, weights))
+    hist = Histogram(dict(sum((counts for counts, _ in blocks), Counter())))
+    hits = [(V, weights) for V, (_, weights) in enumerate(blocks, _first_index(q)) if weights]
     return CensusResult(hist, q.d, hits)

@@ -202,6 +202,18 @@ def test_census_budget_exit(capsys):
     assert code == 2 and out == "" and "budget must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (("--vmax", "50", "--budget", "100"),
+     "error: projected 13114 candidates, 2622800 residue steps, exceed budget 100\n"),
+    # above a million additions for the exact count, its lower bound refuses first
+    (("--vmin", "100000000", "--vmax", "100000000"),
+     "error: at least 6944444236111112500000 candidates,"
+     " 2777777694444445000000000000000 residue steps, exceed budget 100000000000\n"),
+], ids=["projected", "at-least"])
+def test_census_budget_refusals_verbatim(capsys, argv, err):
+    assert run(capsys, "census", "--dim", "4", *argv) == (3, "", err)
+
+
 def test_census_rejects_threads_below_one(capsys):
     # `run_census` refuses the worker count before any work
     for threads in ("0", "-3"):

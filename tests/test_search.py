@@ -4,7 +4,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -18,6 +20,7 @@ from blowups.exactgeom import WeightVector
 from blowups.search import (
     BudgetExceeded,
     CensusQuery,
+    CensusResult,
     Histogram,
     _candidates_lower_bound,
     enumerate_blowups,
@@ -142,10 +145,21 @@ def test_census_histogram_consistency():
 
 
 def test_census_min_weight_filter():
-    res = run_census(CensusQuery(d=4, v_max=30, min_weight=2))
-    assert all(h.n_min >= 2 for h in res.hits)
-    full = run_census(CensusQuery(d=4, v_max=30))
-    assert res.histogram.counts == full.histogram.counts  # histogram unfiltered
+    # the filter drops exactly the hits of n_min < m and the blocks it empties,
+    # in scalar and packed blocks alike; the histogram still counts every hit
+    for d, v_max in ((2, 40), (3, 40), (4, 30), (5, 20)):
+        for verdict, eps in (("terminal", 1), ("canonical", 1),
+                             ("eps-lt", F(2, 3)), ("eps-lc", F(1, 2))):
+            q = CensusQuery(d=d, v_max=v_max, eps=eps, verdict=verdict)
+            full = run_census(q)
+            for m in (2, 3, 7, 10**6):
+                kept = [
+                    (V, array(w.typecode, [x for i in range(0, len(w), d) if w[i] >= m
+                                           for x in w[i : i + d]]))
+                    for V, w in full.blocks
+                ]
+                expected = CensusResult(full.histogram, d, [(V, w) for V, w in kept if w])
+                assert run_census(replace(q, min_weight=m)) == expected, (q, m)
 
 
 def test_census_unique_maximizer_at_245():
@@ -470,6 +484,21 @@ def test_census_dimension_near_or_above_the_index():
     result = run_census(CensusQuery(d=10**7, v_max=10**6))
     assert result.hits == [] and result.histogram.total == 0
     assert time.perf_counter() - t < 0.5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit is checked on Linux")
+def test_census_of_few_candidates_fits_in_120_mb():
+    # an index of 3 candidates stays scalar: its packed rows would peak at 142 MB
+    out = _python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (120_000 * 1024,) * 2)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from blowups import cli\n"
+        "sys.exit(cli.main(['census', '--dim', '5998', '--vmin', '6000',\n"
+        "                   '--vmax', '6000', '--threads', '1']))\n"
+    )
+    assert '"total": 3' in out
 
 
 def test_census_huge_single_index_is_refused_at_once():
