@@ -4,7 +4,9 @@ All output pipelines are deterministic: identical inputs and flags produce
 byte-identical output.  Exit codes: 0 success, 1 `family-scan` found a
 terminal blowup above the smallest-weight bound, 2 usage or invalid input
 (an unreadable input file or unwritable `--out` included), 3 resource budget
-exceeded, 4 data integrity failure.  Commands return (text chunks, exit
+exceeded, 4 data integrity failure, 141 a reader closed stdout before the
+output was all written (a broken pipe: the status of a tool that SIGPIPE
+kills, with nothing on stderr).  Commands return (text chunks, exit
 code), `census` one chunk per index block; `main` alone writes the chunks,
 to stdout or to `--out`, which it opens only once the command has returned,
 and maps the errors above to codes; any other exception is a bug and
@@ -289,6 +291,7 @@ def main(argv=None) -> int:
         chunks, code = args.func(args)
         with Path(args.out).open("w") if args.out else nullcontext(sys.stdout) as out:
             out.writelines(chunks)
+            out.flush()  # so a closed pipe fails here, not in the flush at exit
         return code
     except (sporadic.DatasetFormatError, sporadic.DatasetIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -296,6 +299,14 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early, as `census ... | head` does: point fd 1
+        # at the null device so the flush at exit stays quiet, and exit as a
+        # tool killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

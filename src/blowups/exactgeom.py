@@ -127,7 +127,10 @@ _set_n, _set_V = WeightVector.n.__set__, WeightVector.V.__set__
 
 def _unchecked_weights(n: tuple[int, ...], V: int) -> WeightVector:
     """A `WeightVector` of a tuple of ints already known to pass `__post_init__`,
-    whose index V = sum(n) - 1 the caller knows."""
+    whose index V = sum(n) - 1 the caller knows.
+
+    `search.enumerate_blowups` makes its vectors by these three steps inline,
+    as one call per vector cost about 18% of the enumeration."""
     w = object.__new__(WeightVector)
     _set_n(w, n)
     _set_V(w, V)

@@ -4,11 +4,14 @@ Candidates are enumerated one representative per permutation class (weights
 nondecreasing) since the classification flags are permutation invariant.
 Work is partitioned by index V, which is embarrassingly parallel; the largest
 index is submitted first, and results are merged in V order so the output is
-identical for any worker count.  A block keeps its hits as one flat `array`
-of weights, d per hit, and builds no `WeightVector` for them.  The hits come
-in lex order, each nondecreasing, so the first column of the array is the
-sorted n_min column: the block's histogram counts it, and the min-weight
-filter cuts the array at one `bisect_left` on it.
+identical for any worker count.  `enumerate_blowups` walks the prefixes of
+the first d - 2 weights lazily by `_prefix_runs` and runs the last loop
+itself, so every candidate is built inline and yielded from one generator
+frame, not passed up through one frame per weight.  A block keeps its hits
+as one flat `array` of weights, d per hit, and builds no `WeightVector` for
+them.  The hits come in lex order, each nondecreasing, so the first column
+of the array is the sorted n_min column: the block's histogram counts it,
+and the min-weight filter cuts the array at one `bisect_left` on it.
 
 A block of at least V candidates tests them by `PackedRows.passes` of its
 index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
@@ -37,7 +40,8 @@ from math import comb, factorial, gcd
 from typing import Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
-from .exactgeom import EPS_ONE, PackedRows, WeightVector, _unchecked_weights, checked_eps
+from .exactgeom import EPS_ONE, PackedRows, WeightVector, checked_eps
+from .exactgeom import _set_n, _set_V, _unchecked_weights
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -127,33 +131,44 @@ class CensusResult:
         ]
 
 
+def _prefix_runs(prefix: tuple[int, ...], g: int, remaining: int, slots: int, lo: int):
+    # one (prefix, g, remaining, lo) per nondecreasing prefix that leaves two
+    # slots: the last two weights sum to `remaining`, the first is at least lo,
+    # and g is the gcd of the prefix and `remaining`; g enters as the gcd of
+    # the prefix alone
+    if slots == 2:
+        yield prefix, gcd(g, remaining), remaining, lo
+        return
+    for v in range(lo, remaining // slots + 1):
+        yield from _prefix_runs(prefix + (v,), gcd(g, v), remaining - v, slots - 1, v)
+
+
 def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
     """Primitive nondecreasing positive weight vectors with index V, in lex order.
 
     A vector with t ones has V + 1 >= t + 2(d - t), so it starts with at
     least 2d - V - 1 ones.  They are emitted as one prefix (keeping two slots
     for the last loop), so the recursion is never deeper than V + 1 - d.
-    The last loop takes g = gcd(prefix, remaining) once: the vector
-    (prefix, v, remaining - v) is primitive iff gcd(g, v) = 1.
+    `_prefix_runs` walks the first d - 2 weights lazily and yields each prefix
+    once, with g = gcd(prefix, remaining): the vector (prefix, v, remaining - v)
+    is primitive iff gcd(g, v) = 1.  The last loop runs here, so every vector
+    is yielded from this one frame rather than passed up through one frame per
+    weight, and it builds each vector inline as `_unchecked_weights` does.
     """
     if d < 2 or V < 1:
         raise ValueError("need d >= 2 and V >= 1")
     if V + 1 < d:  # d positive weights sum to at least d
         return
-
-    def parts(prefix: tuple[int, ...], g: int, remaining: int, slots: int, lo: int):
-        # g is the gcd of the prefix
-        if slots == 2:
-            g = gcd(g, remaining)
-            for v in range(lo, remaining // 2 + 1):
-                if g == 1 or gcd(g, v) == 1:  # positive and primitive, as WeightVector checks
-                    yield _unchecked_weights(prefix + (v, remaining - v), V)
-            return
-        for v in range(lo, remaining // slots + 1):
-            yield from parts(prefix + (v,), gcd(g, v), remaining - v, slots - 1, v)
-
+    new, set_n, set_V = object.__new__, _set_n, _set_V
     ones = min(max(2 * d - V - 1, 0), d - 2)
-    yield from parts((1,) * ones, min(ones, 1), V + 1 - ones, d - ones, 1)
+    runs = _prefix_runs((1,) * ones, min(ones, 1), V + 1 - ones, d - ones, 1)
+    for prefix, g, remaining, lo in runs:
+        for v in range(lo, remaining // 2 + 1):
+            if g == 1 or gcd(g, v) == 1:  # positive and primitive, as WeightVector checks
+                w = new(WeightVector)
+                set_n(w, prefix + (v, remaining - v))
+                set_V(w, V)
+                yield w
 
 
 def _partition_row(j_max: int, parts: int) -> tuple[int, ...]:

@@ -3,16 +3,24 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blowups
 from blowups import families
 from blowups.classifier import is_terminal_fast
 from blowups.cli import main, parse_weights
 from blowups.search import CensusQuery, run_census
+
+
+SRC = str(Path(blowups.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -308,6 +316,33 @@ def test_unwritable_out_exit(tmp_path, capsys):
     code, out, err = run(capsys, "classify", "--weights", "6,10,15,7",
                          "--out", str(target))
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, read", [
+    # the reader takes one chunk and closes the pipe, as `| head -c 50` does;
+    # the output (784 KB) outgrows the pipe buffer, so the writer meets EPIPE
+    (["census", "--dim", "4", "--vmax", "60", "--threads", "1"], 50),
+    # the reader is gone before the start, and the short output waits in the
+    # stdout buffer until `main` flushes it
+    (["classify", "--weights", "6,10,15,7"], 0),
+], ids=["census-after-a-read", "classify-reader-gone"])
+def test_output_into_a_closed_pipe_exits_141_quietly(argv, read):
+    # a closed pipe is no invalid input: exit 141 as under SIGPIPE, and stderr
+    # stays empty, also for the flush at exit and the warnings of `-X dev`;
+    # stdout is buffered, as in a shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    with subprocess.Popen([sys.executable, "-X", "dev", "-m", "blowups.cli", *argv],
+                          stdout=w, stderr=subprocess.PIPE, env=env) as child:
+        os.close(w)
+        if read:
+            with open(r, "rb") as reader:
+                assert len(reader.read(read)) == read
+        _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (141, b"")
 
 
 # ------------------------------------------------------------------- family

@@ -48,9 +48,30 @@ def test_enumerate_examples():
 
 
 def test_enumerate_lex_order_and_shape():
-    got = [w.n for w in enumerate_blowups(4, 20)]
-    assert got == sorted(got)
-    assert all(t == tuple(sorted(t)) and sum(t) == 21 and gcd(*t) == 1 for t in got)
+    # up to the paper's scale: 431,096 vectors at d = 4, V = 419
+    for d, V in ((4, 20), (4, 245), (4, 419), (5, 80), (6, 40)):
+        got = list(enumerate_blowups(d, V))
+        assert all(type(w) is WeightVector and w.V == V for w in got), (d, V)
+        tuples = [w.n for w in got]
+        assert all(a < b for a, b in zip(tuples, tuples[1:])), (d, V)  # strictly increasing
+        assert all(
+            list(t) == sorted(t) and sum(t) == V + 1 and gcd(*t) == 1 for t in tuples
+        ), (d, V)
+        assert len(tuples) == _primitive_count(d, V), (d, V)
+
+
+def test_enumerate_is_lazy():
+    # the first vectors come before the rest are built: listing the prefix
+    # runs first would peak at about 28 MiB here
+    tracemalloc.start()
+    try:
+        first = [w.n for _, w in zip(range(5), enumerate_blowups(5, 400))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(1, 1, 1, 1, 397), (1, 1, 1, 2, 396), (1, 1, 1, 3, 395),
+                     (1, 1, 1, 4, 394), (1, 1, 1, 5, 393)]
+    assert peak < 1 << 20, peak
 
 
 def _naive_vectors(d, V):
@@ -75,6 +96,7 @@ def test_enumerated_vectors_equal_checked_construction(d):
         for w in enumerate_blowups(d, V):
             checked = WeightVector(w.n)
             assert type(w) is WeightVector and w == checked and hash(w) == hash(checked)
+            assert w.V == checked.V  # the slot the enumerator sets, unread by ==
             assert all(type(v) is int for v in w.n)
 
 
@@ -103,16 +125,17 @@ def _mobius(m):
     return -result if m > 1 else result
 
 
-def test_enumeration_count_is_mobius_inverted_partition_count():
+def _primitive_count(d, V):
     # primitive partitions of m into d parts: sum over e | m of mu(e) p_d(m/e)
+    m = V + 1
+    return sum(_mobius(e) * partition_count(m // e, d) for e in range(1, m + 1) if m % e == 0)
+
+
+def test_enumeration_count_is_mobius_inverted_partition_count():
     for d in (2, 3, 4):
         for V in range(1, 61):
-            m = V + 1
-            primitive = sum(
-                _mobius(e) * partition_count(m // e, d)
-                for e in range(1, m + 1) if m % e == 0
-            )
-            assert sum(1 for _ in enumerate_blowups(d, V)) == primitive, (d, V)
+            assert sum(1 for _ in enumerate_blowups(d, V)) == _primitive_count(d, V), (d, V)
+    assert _primitive_count(4, 419) == 431_096
     assert projected_candidates(CensusQuery(d=4, v_max=60)) == 26385
 
 
