@@ -4,11 +4,14 @@ A blowup with positive primitive weights n is eps-log terminal exactly when
 the shrunk simplex is empty with respect to the coset lattice Z^d + Z*p
 (p = n/V), and eps-log canonical exactly when it is hollow.  `classify`
 reports a witness from the coset enumeration; `is_terminal_fast` and
-`is_canonical_fast` stop at the first class that decides the verdict.  All
-three stand on the residue pass `exactgeom.residue_classes`, at every eps,
-and each kernel has one path, `place_class` over that pass.  They are the
-reference for a census block, which owns the `exactgeom.PackedRows` of its
-index and tests its candidates without calling them.
+`is_canonical_fast` stop at the first class that decides the verdict.  The
+kernels take their classes from the lazy residue pass
+`exactgeom.residue_classes` and the coset enumeration lists all of them at
+once from its own packed pass, so the two sides of their differential test
+share no residue loop; all three place a class by `place_class`, at every
+eps.  The kernels are the reference for a census block, which owns the
+`exactgeom.PackedRows` of its index and tests its candidates without
+calling them.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ generates the cyclic lattice Z^d + Z*p of order V over Z^d, and the simplex
 is Conv(0, e_1, ..., e_d) shrunk towards p by eps, with vertices (1-eps)*p
 and p + eps*(e_i - p).
 
-The residue pass `residue_classes` yields the classes k >= 1 whose point
-frac(k*p) can lie in the simplex at any eps, and `place_class` places one at
-a given eps; the fast kernels in `classifier` and the coset enumeration here
-stand on them, each by one scalar pass.  A census block of at least V
-candidates decides them instead through the `PackedRows` of its index, whose
+The classes k >= 1 whose point frac(k*p) can lie in the simplex at any eps
+are those with residue sum s(k) <= V, and `place_class` places one at a
+given eps.  Two passes list them: `residue_classes`, the lazy scalar pass of
+the fast kernels in `classifier`, which stop at the first class that decides
+their verdict, and `_coset_classes`, which lists every class at once in k
+order by packed integer arithmetic for the coset enumeration behind
+`classify`; each is the other's check.  A census block of at least V
+candidates decides its classes through the `PackedRows` of its index, whose
 docstring holds the packed format, its read rule and the block's pass.
 A witness is a class k and its membership.  An independent brute-force scan
 of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
@@ -254,7 +257,9 @@ class PackedRows(list):
 
 
 def residue_classes(n: WeightVector) -> Iterator[int]:
-    """The classes k in [1, V-1] with s(k) = sum_i (k*n_i mod V) <= V: the residue pass.
+    """The classes k in [1, V-1] with s(k) = sum_i (k*n_i mod V) <= V: the
+    lazy residue pass of the fast kernels, which stop at the first class
+    that decides their verdict.
 
     No other class meets the simplex at any eps = a/b: the scaled coordinates
     ybar_i = b*(k*n_i mod V) - (b-a)*n_i of frac(k*p) sum to b*s - (b-a)*(V+1),
@@ -303,6 +308,49 @@ def place_class(n: WeightVector, k: int, eps: Fraction) -> MembershipClass:
     return BOUNDARY if on_facet else INTERIOR
 
 
+def _coset_classes(n: WeightVector) -> list[int]:
+    """The classes of `residue_classes`, all at once and in k order, from one
+    packed floor sum Q(k) = sum_i floor(k*n_i/V).
+
+    As the weights sum to V + 1, s(k) = sum_i (k*n_i - V*floor(k*n_i/V)) =
+    k*(V+1) - V*Q(k), and Q(k) <= floor(k*(V+1)/V) = k for k < V.  So
+    s(k) <= V reads V*(k - Q(k)) <= V - k < V, that is Q(k) = k.
+
+    Each k = 1..V-1 gets a field of B bytes, w = 8*B bits: K holds k in
+    field k-1, built by doubling the count m of fields, as K_2m is K_m and,
+    above it, K_m + m*ones_m.  Every floor comes from one multiply-shift:
+    with x = k*n_i < V^2 <= 2^N, 2^L > V, s = N + L and M = ceil(2^s/V), so
+    that V*M = 2^s + e with 0 <= e < V, x*M/2^s exceeds x/V by
+    x*e/(V*2^s) < V^2/2^s <= 2^-L < 1/V, while frac(x/V) <= 1 - 1/V; so
+    floor(x*M/2^s) = floor(x/V).  B is the least with 2^(w-1) > V^2*M, so no
+    field of K*(n_i*M) carries; shifted right by s, field k-1 holds
+    floor(k*n_i/V) < 2^L in its low L bits and, from bit w - s >= L up, the
+    low bits of the field above (V^2*M >= 2^(L-1+s), so w > s + L), which
+    the mask of L bits per field drops.  Field k-1 of Q + mask - K, with
+    `mask` the top bit of each field, is then 2^(w-1) - (k - Q(k)): no field
+    borrows or carries, as 0 <= k - Q(k) < 2^(w-1), and its top bit is set
+    exactly when Q(k) = k.  The top byte of each field is read as a flag.
+    """
+    V = n.V
+    N, L = (V * V - 1).bit_length(), V.bit_length()
+    s = N + L
+    M = -(-(1 << s) // V)
+    B = (V * V * M).bit_length() // 8 + 1
+    w = 8 * B
+    K = ones = m = 1
+    while m < V - 1:
+        K |= (K + m * ones) << w * m
+        ones |= ones << w * m
+        m += m
+    fields = (1 << w * (V - 1)) - 1
+    K &= fields
+    ones &= fields
+    low, mask = ((1 << L) - 1) * ones, ones << w - 1
+    Q = sum([(K * (v * M) >> s) & low for v in n.n])
+    flags = ((Q + mask - K) & mask).to_bytes(B * (V - 1), "little")[B - 1 :: B]
+    return list(itertools.compress(range(1, V), flags))
+
+
 def lattice_points_in_shrunk_simplex(
     n: WeightVector, eps: Fraction | int = EPS_ONE
 ) -> list[LatticeWitness]:
@@ -315,10 +363,12 @@ def lattice_points_in_shrunk_simplex(
     coordinates sum to 1 + (1-eps)/V and those of a point of class k to k/V
     mod 1, so that needs k = 0 and eps = 1.  Class 0 thus gives only the d+1
     vertices, which decide no verdict and are not listed, and each class
-    k >= 1 has one candidate, frac(k*p), which the residue pass decides.
+    k >= 1 has one candidate, frac(k*p).  `_coset_classes` lists, in k order,
+    the classes whose candidate can lie in the simplex at any eps, and
+    `place_class` places each.
     """
     eps = checked_eps(eps)
-    placed = [(k, place_class(n, k, eps)) for k in sorted(residue_classes(n))]
+    placed = [(k, place_class(n, k, eps)) for k in _coset_classes(n)]
     return [LatticeWitness(k, m) for k, m in placed if m is not OUTSIDE]
 
 

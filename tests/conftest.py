@@ -24,6 +24,18 @@ def weight_vectors(draw, min_d=2, max_d=5, max_index=40):
     return WeightVector(vals)
 
 
+@st.composite
+def large_index_vectors(draw, min_d=4, max_d=6, max_index=400):
+    """Primitive weight vectors of any index up to max_index: a composition
+    of V + 1 into d positive parts, cut at d - 1 distinct points."""
+    d = draw(st.integers(min_d, max_d))
+    V = draw(st.integers(d - 1, max_index))
+    cuts = sorted(draw(st.sets(st.integers(1, V), min_size=d - 1, max_size=d - 1)))
+    parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, V + 1])]
+    assume(gcd(*parts) == 1)
+    return WeightVector(tuple(parts))
+
+
 PRUNE_EPSILONS = [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(4, 5), F(1, 7)]
 
 # the 18 rows whose base ratios reach 7, with the 19 proof-table entries

@@ -22,7 +22,7 @@ from blowups.exactgeom import (
 )
 from blowups.search import enumerate_blowups
 
-from conftest import flags_from_brute, weight_vectors
+from conftest import PRUNE_EPSILONS, flags_from_brute, large_index_vectors, weight_vectors
 
 F = Fraction
 
@@ -178,7 +178,9 @@ def test_fast_paths_match_full_range_reference():
     # the fast paths visit k <= V/2 only; odd and even V both occur, and at
     # even V the middle residue k = V/2 is its own complement.  Every eps is
     # checked against the unpruned coset enumeration by
-    # test_pruned_enumeration_matches_unpruned_exhaustive.
+    # test_pruned_enumeration_matches_unpruned_exhaustive, and against
+    # classify, whose packed pass shares no residue loop with them, past the
+    # oracle cap by test_fast_geometric_agreement_large_index_sampled.
     parities = set()
     for d, vmax in ((2, 300), (3, 100), (4, 40), (5, 24)):
         for V in range(1, vmax + 1):
@@ -194,6 +196,20 @@ def test_fast_geometric_agreement_sampled(w):
     v = classify(w, 1)
     assert is_terminal_fast(w) == v.eps_log_terminal
     assert is_canonical_fast(w) == v.eps_log_canonical
+
+
+@given(
+    large_index_vectors(min_d=3, max_d=6, max_index=2000),
+    st.sampled_from([e for e in PRUNE_EPSILONS if e < 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_fast_geometric_agreement_large_index_sampled(w, eps):
+    # the kernels' lazy residue pass and the packed pass of classify are
+    # independent, so each checks the other well past the oracle cap
+    for e in (F(1), eps):
+        v = classify(w, e)
+        assert is_terminal_fast(w, e) == v.eps_log_terminal, (w.n, e)
+        assert is_canonical_fast(w, e) == v.eps_log_canonical, (w.n, e)
 
 
 @given(weight_vectors(max_index=30), st.sampled_from([F(1), F(1, 2), F(1, 3)]))

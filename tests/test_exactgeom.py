@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import pickle
+import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -21,6 +22,7 @@ from blowups.exactgeom import (
     PackedRows,
     WeightVector,
     ZeroWeightError,
+    _coset_classes,
     ascii_int,
     brute_force_lattice_points,
     checked_eps,
@@ -37,6 +39,7 @@ from conftest import (
     PRUNE_EPSILONS,
     _unpruned_lattice_points,
     _verdicts,
+    large_index_vectors,
     mld_reference,
     weight_vectors,
 )
@@ -278,9 +281,10 @@ PRUNE_DIGESTS = {
 @pytest.mark.parametrize("d,vmax", sorted(PRUNE_DIGESTS))
 def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
     # the digests were taken from fields equal to the unpruned reference's, so
-    # they pin the same rows without recomputing it; the fast kernels share
-    # the residue pass and are checked against those rows.  eps = 1 passed as
-    # a Fraction or an int, or left to its default, gives the same verdicts
+    # they pin the same rows without recomputing it; the fast kernels, whose
+    # residue pass the enumeration does not use, are checked against those
+    # rows.  eps = 1 passed as a Fraction or an int, or left to its default,
+    # gives the same verdicts
     h = hashlib.sha256()
     for V in range(1, vmax + 1):
         for w in enumerate_blowups(d, V):
@@ -296,29 +300,86 @@ def test_pruned_enumeration_matches_unpruned_exhaustive(d, vmax):
 
 
 @st.composite
-def _large_index_vectors(draw, min_d=4, max_d=6, max_index=400):
-    # a composition of V + 1 into d positive parts, cut at d - 1 distinct points
-    d = draw(st.integers(min_d, max_d))
-    V = draw(st.integers(d - 1, max_index))
-    cuts = sorted(draw(st.sets(st.integers(1, V), min_size=d - 1, max_size=d - 1)))
-    parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, V + 1])]
-    assume(gcd(*parts) == 1)
-    return WeightVector(tuple(parts))
-
-
-@st.composite
 def _epsilons(draw):
     b = draw(st.integers(1, 12))
     return F(draw(st.integers(1, b)), b)
 
 
-@given(_large_index_vectors(), _epsilons())
+@given(large_index_vectors(), _epsilons())
 @settings(max_examples=150, deadline=None)
 def test_pruned_enumeration_matches_unpruned_sampled(w, eps):
-    # the fast kernels share the residue pass, so they are checked here too
+    # the fast kernels take their classes from another pass, checked here too
     reference = _unpruned_lattice_points(w, eps)
     assert _fields(lattice_points_in_shrunk_simplex(w, eps), w, eps) == reference
     assert (is_terminal_fast(w, eps), is_canonical_fast(w, eps)) == _verdicts(reference)
+
+
+# ------------------------------------- packed coset pass against the scalar one
+
+
+def _check_coset_classes(ws):
+    for w in ws:
+        assert _coset_classes(w) == sorted(residue_classes(w)), w.n
+
+
+@pytest.mark.parametrize("d,vmax", [(2, 300), (3, 100), (4, 60), (5, 20), (6, 20)])
+def test_coset_classes_match_residue_pass_exhaustive(d, vmax):
+    for V in range(1, vmax + 1):
+        _check_coset_classes(enumerate_blowups(d, V))
+
+
+def _field_bytes(V):
+    # the field width of `_coset_classes` in bytes: the least B with
+    # 2^(8B-1) > V^2*M, M = ceil(2^s/V), s = N + L, V^2 <= 2^N and 2^L > V
+    N, L = (V * V - 1).bit_length(), V.bit_length()
+    M, B = -(-(2 ** (N + L)) // V), 1
+    while 2 ** (8 * B - 1) <= V * V * M:
+        B += 1
+    return B
+
+
+# both sides of each step of the field width, from 1 byte at V = 2 to 8 at 11,586
+_WIDTH_STEPS = [2, 3, 11, 12, 45, 46, 181, 182, 724, 725, 2896, 2897, 11585, 11586]
+
+
+def _compositions(d, V, rng):
+    """Primitive vectors of d weights and index V: the weights 1, ..., 1,
+    V + 2 - d, the most balanced ones, and three seeded random ones."""
+    q, r = divmod(V + 1, d)
+    found = [(1,) * (d - 1) + (V + 2 - d,), (q,) * (d - r) + (q + 1,) * r]
+    for _ in range(3):
+        cuts = sorted(rng.sample(range(1, V + 1), d - 1))
+        found.append(tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, V + 1])))
+    return [WeightVector(n) for n in dict.fromkeys(found) if gcd(*n) == 1]
+
+
+def test_coset_classes_at_width_steps():
+    assert [_field_bytes(V) for V in _WIDTH_STEPS] == [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
+    rng = random.Random(1)
+    for V in _WIDTH_STEPS:
+        for d in range(2, min(6, V + 1) + 1):
+            ws = _compositions(d, V, rng)
+            assert ws, (d, V)
+            _check_coset_classes(ws)
+
+
+@given(large_index_vectors(min_d=2, max_d=8, max_index=12_000))
+@settings(max_examples=150, deadline=None)
+def test_coset_classes_match_residue_pass_sampled(w):
+    _check_coset_classes([w])
+
+
+def test_coset_classes_edges():
+    assert _coset_classes(WeightVector((1, 1))) == []  # V = 1 has no class k >= 1
+    for V in (2, 3, 12, 46, 419, 2897):
+        # s(k) = k for the weights (1, V), so every class is listed
+        assert _coset_classes(WeightVector((1, V))) == list(range(1, V))
+    # every weight divides V, so some residues vanish at many k
+    divisors = [(2, 2, 3), (1, 1, 2, 3), (3, 4, 6), (2, 3, 4, 4), (5, 6, 10, 20, 20)]
+    for n in divisors:
+        w = WeightVector(n)
+        assert all(w.V % v == 0 for v in n)
+        _check_coset_classes([w])
 
 
 # --------------------------------------- packed verdict bitsets against scalar
@@ -406,7 +467,7 @@ def test_packed_pass_matches_scalar_exhaustive(d, vmax):
         _check_packed_against_scalar(list(enumerate_blowups(d, V)), d, V)
 
 
-@given(_large_index_vectors(max_index=419))
+@given(large_index_vectors(max_index=419))
 @settings(max_examples=150, deadline=None)
 def test_packed_pass_matches_scalar_sampled(w):
     _check_packed_against_scalar([w], w.d, w.V)
@@ -483,7 +544,7 @@ def _verdicts_at_every_eps(w):
     return [(is_terminal_fast(w, e), is_canonical_fast(w, e)) for e in _EPSILONS]
 
 
-@given(_large_index_vectors(min_d=2, max_d=6, max_index=419))
+@given(large_index_vectors(min_d=2, max_d=6, max_index=419))
 @settings(max_examples=150, deadline=None)
 def test_kernels_match_mld_reference(w):
     # terminal iff mld > eps, canonical iff mld >= eps, by the scalar kernels
