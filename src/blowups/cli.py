@@ -16,6 +16,7 @@ propagates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -190,21 +191,9 @@ def cmd_width(args) -> tuple[Iterable[str], int]:
         tuple(tuple(p) for p in raw), args.origin_index
     )
     ell = projections.ell_L(cfg)
-    payload = {
-        "points": [list(p) for p in cfg.points],
-        "origin_index": cfg.origin_index,
-        "facets": [
-            {
-                "normal": list(f.normal),
-                "offset": f.offset,
-                "incident": list(f.incident),
-                "width": f.width,
-            }
-            for f in cfg.facets
-        ],
-        "max_facet_width": max(f.width for f in cfg.facets),
-        "ell_L": None if ell is None else str(ell),
-    }
+    payload = dataclasses.asdict(cfg)  # points, origin_index, facets; tuples dump as lists
+    payload["max_facet_width"] = max(f.width for f in cfg.facets)
+    payload["ell_L"] = None if ell is None else str(ell)
     return [_json(payload)], 0
 
 

@@ -11,13 +11,13 @@ and p + eps*(e_i - p).
 
 The classes k >= 1 whose point frac(k*p) can lie in the simplex at any eps
 are those with residue sum s(k) <= V, and `place_class` places one at a
-given eps.  Two passes list them: `residue_classes`, the lazy scalar pass of
-the fast kernels in `classifier`, which stop at the first class that decides
-their verdict, and `_coset_classes`, which lists every class at once in k
-order by packed integer arithmetic for the coset enumeration behind
-`classify`; each is the other's check.  A census block of at least V
-candidates decides its classes through the `PackedRows` of its index, whose
-docstring holds the packed format, its read rule and the block's pass.
+given eps.  Three passes list them, each the fastest on some input, so a
+choice between them by input would be a fork with a workload on each side.
+`residue_classes` serves the fast kernels in `classifier` lazily, so that
+they stop at the first class that decides their verdict, which d = 2 needs;
+`_coset_classes` serves the coset enumeration behind `classify`, with every
+class at once in k order by packed integer arithmetic, and these two check
+each other; `PackedRows` serves census blocks of at least V candidates.
 A witness is a class k and its membership.  An independent brute-force scan
 of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
 `to_integer_lattice` maps one picture to the other.

@@ -147,10 +147,7 @@ def instantiate(label: str, V: int, sign: int = 1) -> tuple[int, ...]:
     # the nums share no factor with index, so every entry is integral iff
     # index divides V, and sign does not matter
     if V % q.index:
-        m = next(m for m in q.nums if V * m % q.index)  # the first one not integral
-        raise DivisibilityError(
-            f"{label} needs V divisible by {q.index // gcd(m, q.index)}, got V={V}"
-        )
+        raise DivisibilityError(f"{label} needs V divisible by {q.index}, got V={V}")
     if q.index == 1:
         return q.base
     c = sign * V // q.index

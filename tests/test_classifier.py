@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowups.classifier import (
     SingularityClass,
@@ -17,8 +19,10 @@ from blowups.exactgeom import (
     MembershipClass,
     WeightVector,
     ZeroWeightError,
+    _coset_classes,
     classify_point,
     frac_point,
+    residue_classes,
 )
 from blowups.search import enumerate_blowups
 
@@ -198,6 +202,13 @@ def test_fast_geometric_agreement_sampled(w):
     assert is_canonical_fast(w) == v.eps_log_canonical
 
 
+def _check_kernels_against_classify(w: WeightVector, epsilons) -> None:
+    for e in epsilons:
+        v = classify(w, e)
+        assert is_terminal_fast(w, e) == v.eps_log_terminal, (w.n, e)
+        assert is_canonical_fast(w, e) == v.eps_log_canonical, (w.n, e)
+
+
 @given(
     large_index_vectors(min_d=3, max_d=6, max_index=2000),
     st.sampled_from([e for e in PRUNE_EPSILONS if e < 1]),
@@ -206,10 +217,46 @@ def test_fast_geometric_agreement_sampled(w):
 def test_fast_geometric_agreement_large_index_sampled(w, eps):
     # the kernels' lazy residue pass and the packed pass of classify are
     # independent, so each checks the other well past the oracle cap
-    for e in (F(1), eps):
-        v = classify(w, e)
-        assert is_terminal_fast(w, e) == v.eps_log_terminal, (w.n, e)
-        assert is_canonical_fast(w, e) == v.eps_log_canonical, (w.n, e)
+    _check_kernels_against_classify(w, (F(1), eps))
+
+
+@st.composite
+def large_dimension_vectors(draw):
+    """d = 20..200 and V <= d + 400: g times a composition of V/g + 1 into d
+    parts, with g - 1 taken off the last.  At g = 1 that is any composition
+    of V + 1, nearly always terminal at this d; at g >= 2 the classes
+    k = V/g, 2V/g, ... have s(k) = k and d - 1 zero residues."""
+    d = draw(st.integers(20, 200))
+    g = draw(st.integers(1, (d + 400) // (d - 1)))
+    m = draw(st.integers(d - 1, (d + 400) // g))
+    # up to 199 cuts: one seeded sample is far cheaper than as many draws
+    cuts = sorted(random.Random(draw(st.integers(0, 2**32))).sample(range(1, m + 1), d - 1))
+    parts = [g * (hi - lo) for lo, hi in zip([0, *cuts], [*cuts, m + 1])]
+    parts[-1] -= g - 1
+    assume(gcd(*parts) == 1)
+    return WeightVector(tuple(parts))
+
+
+def _check_large_dimension(w: WeightVector) -> None:
+    # at d >= 20 the lazy pass yields its classes V-k through the complement
+    # identity s(V-k) = (d - z)*V - s(k), which the other tests reach
+    # only up to d = 8; the packed pass of classify has no such step, so the
+    # two passes and both kernels check each other here
+    assert _coset_classes(w) == sorted(residue_classes(w)), w.n
+    _check_kernels_against_classify(w, (F(1), F(1, 2), F(2, 3)))
+
+
+def test_fast_geometric_agreement_large_dimension():
+    ws = list(enumerate_blowups(398, 400))
+    assert [w.n[-3:] for w in ws] == [(1, 1, 4), (1, 2, 3), (2, 2, 2)]
+    for w in ws:
+        _check_large_dimension(w)
+
+
+@given(large_dimension_vectors())
+@settings(max_examples=100, deadline=None)
+def test_fast_geometric_agreement_large_dimension_sampled(w):
+    _check_large_dimension(w)
 
 
 @given(weight_vectors(max_index=30), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
