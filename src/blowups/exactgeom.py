@@ -128,18 +128,6 @@ class WeightVector:
 _set_n, _set_V = WeightVector.n.__set__, WeightVector.V.__set__
 
 
-def _unchecked_weights(n: tuple[int, ...], V: int) -> WeightVector:
-    """A `WeightVector` of a tuple of ints already known to pass `__post_init__`,
-    whose index V = sum(n) - 1 the caller knows.
-
-    `search.enumerate_blowups` makes its vectors by these three steps inline,
-    as one call per vector cost about 18% of the enumeration."""
-    w = object.__new__(WeightVector)
-    _set_n(w, n)
-    _set_V(w, V)
-    return w
-
-
 @dataclass(frozen=True)
 class LatticeWitness:
     """A non-vertex coset point of the simplex: its class k >= 1 and membership.

@@ -9,9 +9,10 @@ the first d - 2 weights lazily by `_prefix_runs` and runs the last loop
 itself, so every candidate is built inline and yielded from one generator
 frame, not passed up through one frame per weight.  A block keeps its hits
 as one flat `array` of weights, d per hit, and builds no `WeightVector` for
-them.  The hits come in lex order, each nondecreasing, so the first column
-of the array is the sorted n_min column: the block's histogram counts it,
-and the min-weight filter cuts the array at one `bisect_left` on it.
+them; `CensusResult.hits` builds checked ones on read.  The hits come in lex
+order, each nondecreasing, so the first column of the array is the sorted
+n_min column: the block's histogram counts it, and the min-weight filter
+cuts the array at one `bisect_left` on it.
 
 A block of at least V candidates tests them by `PackedRows.passes` of its
 index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
@@ -40,8 +41,7 @@ from math import comb, factorial, gcd
 from typing import Iterator
 
 from .classifier import is_canonical_fast, is_terminal_fast
-from .exactgeom import EPS_ONE, PackedRows, WeightVector, checked_eps
-from .exactgeom import _set_n, _set_V, _unchecked_weights
+from .exactgeom import EPS_ONE, PackedRows, WeightVector, _set_n, _set_V, checked_eps
 
 VERDICTS = ("terminal", "canonical", "eps-lt", "eps-lc")
 
@@ -99,9 +99,6 @@ class Histogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def add(self, key: int, amount: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + amount
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 
@@ -113,7 +110,8 @@ class CensusResult:
     The weights of a block are those of its hits in lex order, d per hit,
     each hit nondecreasing, so its smallest weight comes first and the
     block's first column, `weights[::d]`, is its sorted n_min column; the
-    histogram and the min-weight cut were read off that column.
+    histogram and the min-weight cut were read off that column.  No command
+    reads `hits`, so its vectors go through the checked constructor.
     """
 
     histogram: Histogram
@@ -122,11 +120,11 @@ class CensusResult:
 
     @property
     def hits(self) -> list[WeightVector]:
-        """The hits as vectors, sorted by (V, lex), built on each read."""
+        """The hits as checked vectors, sorted by (V, lex), built on each read."""
         d = self.d
         return [
-            _unchecked_weights(tuple(weights[i : i + d]), V)
-            for V, weights in self.blocks
+            WeightVector(tuple(weights[i : i + d]))
+            for _, weights in self.blocks
             for i in range(0, len(weights), d)
         ]
 
@@ -153,7 +151,7 @@ def enumerate_blowups(d: int, V: int) -> Iterator[WeightVector]:
     once, with g = gcd(prefix, remaining): the vector (prefix, v, remaining - v)
     is primitive iff gcd(g, v) = 1.  The last loop runs here, so every vector
     is yielded from this one frame rather than passed up through one frame per
-    weight, and it builds each vector inline as `_unchecked_weights` does.
+    weight, and it builds each vector inline by the slot setters, unchecked.
     """
     if d < 2 or V < 1:
         raise ValueError("need d >= 2 and V >= 1")

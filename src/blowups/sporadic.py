@@ -16,12 +16,12 @@ testable without the external file.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .exactgeom import WeightVector, ascii_int
 from .families import APICES, apex_residues
-from .search import Histogram
 
 
 class DatasetFormatError(ValueError):
@@ -72,9 +72,10 @@ def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord
     in [0, V), no comments or blank lines.  `SporadicRecord` checks each
     record; its errors come back with the line number, as
     `DatasetIntegrityError` for a residue sum and `DatasetFormatError` else.
+    A byte that is not UTF-8 reads as a surrogate escape, which `ascii_int` refuses.
     """
     records: list[SporadicRecord] = []
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not strict and (not line or line.startswith("#")):
@@ -125,20 +126,20 @@ def record_from_weights(n: WeightVector) -> SporadicRecord:
 def sporadic_report(records) -> dict:
     """Histogram plus totals, the deduplicated count and the argmax record."""
     records = list(records)
-    hist = Histogram()
+    hist: Counter[int] = Counter()
     seen: set[tuple[int, tuple[int, ...]]] = set()
     best: tuple[int, SporadicRecord, WeightVector] | None = None
     for r in records:
         for _, w in blowups_from_record(r):
-            hist.add(w.n_min)
+            hist[w.n_min] += 1
             seen.add((r.V, tuple(sorted(w.n))))
             if best is None or w.n_min > best[0]:
                 best = (w.n_min, r, w)
     report = {
         "records": len(records),
-        "blowups_total": hist.total,
+        "blowups_total": hist.total(),
         "blowups_distinct": len(seen),
-        "histogram": {str(k): v for k, v in hist.items()},
+        "histogram": {str(k): v for k, v in sorted(hist.items())},
     }
     if best is not None:
         report["max_n_min"] = {

@@ -526,3 +526,15 @@ def test_sporadic_bad_data_exit(tmp_path, capsys):
     data.write_text("245 32 41 71 102 243\n")
     code, _, err = run(capsys, "sporadic", "--input", str(data))
     assert code == 4 and "line 1" in err
+
+
+def test_sporadic_non_utf8_byte_exit(tmp_path, capsys):
+    # a byte that is not UTF-8 is a malformed field: exit 4, naming its line
+    data = tmp_path / "bad.txt"
+    data.write_bytes(b"245 32 41 71 102 244\n419 20 57 133 210 \xff18\n")
+    target = tmp_path / "report.json"
+    for strict in ((), ("--strict",)):
+        code, out, err = run(capsys, "sporadic", "--input", str(data), *strict,
+                             "--out", str(target))
+        assert (code, out) == (4, "") and err.startswith("error: line 2: ")
+        assert not target.exists()

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
-from blowups import exactgeom
 from blowups.exactgeom import (
     EPS_ONE,
     ORACLE_CAP,
@@ -57,7 +56,8 @@ def test_weight_vector_invariants():
     # and repr read n alone
     assert not hasattr(w, "__dict__") and WeightVector.__slots__ == ("n", "V")
     assert repr(w) == "WeightVector(n=(6, 10, 15, 7))"
-    twin = exactgeom._unchecked_weights((6, 10, 15, 7), 0)  # a wrong V, on purpose
+    twin = WeightVector((6, 10, 15, 7))
+    WeightVector.V.__set__(twin, 0)  # a wrong V, on purpose
     assert twin == w and hash(twin) == hash(w) == hash(WeightVector((6, 10, 15, 7)))
     assert repr(twin) == repr(w)
     with pytest.raises(dataclasses.FrozenInstanceError):

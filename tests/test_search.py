@@ -596,15 +596,20 @@ def test_census_eps_verdicts_match_classify():
             assert got == expected, (eps, verdict)
 
 
-def test_census_eps_half_largest_smallest_weight():
-    # the eps = 1/2 row of the README's table: d = 3, V <= 60
-    for verdict, largest in (("eps-lc", 18), ("eps-lt", 17)):
-        res = run_census(CensusQuery(d=3, v_max=60, eps=F(1, 2), verdict=verdict))
-        assert max(res.histogram.counts) == largest, verdict
+def test_census_eps_table_largest_smallest_weight():
+    # the README's eps < 1 table, each row as (eps-lc, eps-lt): d = 3, V <= 60
+    table = {F(1, 2): (18, 17), F(2, 3): (13, 13), F(3, 4): (11, 8), F(4, 5): (7, 7)}
+    for eps, row in table.items():
+        got = tuple(
+            max(run_census(CensusQuery(d=3, v_max=60, eps=eps, verdict=v)).histogram.counts)
+            for v in ("eps-lc", "eps-lt")
+        )
+        assert got == row, eps
 
 
 def test_histogram_type():
-    h = Histogram()
-    h.add(3)
-    h.add(3, 2)
-    assert h.counts == {3: 3} and h.total == 3
+    # the benchmark's smoke check reads `total` as an int attribute, not a
+    # method, and the CLI writes `items()` in key order
+    h = Histogram({3: 3, 10: 1, 2: 2})
+    assert h.total == 6 and type(h.total) is int
+    assert h.items() == [(2, 2), (3, 3), (10, 1)]

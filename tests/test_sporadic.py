@@ -156,6 +156,21 @@ def test_parse_malformed_reports_line(tmp_path):
                 parse_dataset(q, strict=strict)
 
 
+def test_parse_non_utf8_byte_is_a_malformed_field(tmp_path):
+    # a byte that is not UTF-8 decodes as a surrogate escape, whatever the
+    # locale, so it is refused with its line number like any other field
+    p = tmp_path / "data.txt"
+    p.write_bytes(b"245 32 41 71 102 244\n419 20 57 133 210 \xff18\n")
+    for strict in (False, True):
+        with pytest.raises(DatasetFormatError, match=r"^line 2: .*in ASCII digits: '\\udcff18'"):
+            parse_dataset(p, strict=strict)
+    # in a comment line it is skipped in liberal mode, and refused in strict
+    p.write_bytes(b"# caf\xe9\n245 32 41 71 102 244\n")
+    assert parse_dataset(p) == [EMBEDDED_RECORDS[0]]
+    with pytest.raises(DatasetFormatError, match="^line 1: "):
+        parse_dataset(p, strict=True)
+
+
 def test_parse_integrity_violation_is_fatal(tmp_path):
     p = tmp_path / "data.txt"
     p.write_text("245 32 41 71 102 243\n")
