@@ -12,7 +12,6 @@ from .classifier import (
     classify,
     is_canonical_fast,
     is_terminal_fast,
-    kawakita_form,
 )
 from .exactgeom import (
     LatticeWitness,
@@ -21,18 +20,14 @@ from .exactgeom import (
     WeightVector,
     ZeroWeightError,
     brute_force_lattice_points,
-    classify_point,
     frac_point,
     lattice_points_in_shrunk_simplex,
-    to_integer_lattice,
 )
 from .families import (
     DivisibilityError,
     Quintuple,
     blowup_from_quintuple,
     bound_dim1,
-    bound_subset,
-    check_ratio_lemma,
     get_quintuple,
     instantiate,
     quintuple_table,

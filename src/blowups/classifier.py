@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .exactgeom import (
     EPS_ONE,
@@ -84,11 +83,3 @@ def is_canonical_fast(n: WeightVector, eps: Fraction | int = EPS_ONE) -> bool:
     """
     eps = checked_eps(eps)
     return all(place_class(n, k, eps) is not INTERIOR for k in residue_classes(n))
-
-
-def kawakita_form(n: WeightVector) -> bool:
-    """Dimension-3 terminality normal form: weights (1, a, b) with gcd(a, b) = 1."""
-    if n.d != 3:
-        raise ValueError(f"normal form is for 3 weights, got {n.d}")
-    a, b, c = sorted(n.n)
-    return a == 1 and gcd(b, c) == 1

@@ -19,8 +19,9 @@ they stop at the first class that decides their verdict, which d = 2 needs;
 class at once in k order by packed integer arithmetic, and these two check
 each other; `PackedRows` serves census blocks of at least V candidates.
 A witness is a class k and its membership.  An independent brute-force scan
-of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them;
-`to_integer_lattice` maps one picture to the other.
+of eps * Conv(e_1, ..., e_d, n) in the original coordinates checks them; the
+affine map fixing each e_i and sending p to 0 carries one picture onto the
+other, and the tests compare the two through it.
 """
 
 from __future__ import annotations
@@ -147,18 +148,6 @@ def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction((k * v) % V, V) for v in n.n)
 
 
-def classify_point(
-    x: Sequence[Fraction | int], n: WeightVector, eps: Fraction | int = EPS_ONE
-) -> MembershipClass:
-    """Classify x against the simplex of (n, eps) by exact barycentric coordinates."""
-    eps = checked_eps(eps)
-    if len(x) != n.d:
-        raise ValueError(f"point has dimension {len(x)}, simplex has {n.d}")
-    V = n.V
-    y = [(Fraction(xi) - (1 - eps) * ni / V) / eps for xi, ni in zip(x, n.n)]
-    return _barycentric_class([1 - sum(y), *y], 1)
-
-
 def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     # coords are the d+1 barycentric coordinates scaled so they sum to `total`
     if any(c < 0 for c in coords):
@@ -170,12 +159,12 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
-class PackedRows(list):
+class PackedRows:
     """The residues of every weight value at one index V, packed one int a
     value, with one verdict at eps = a/b folded in: the packed census format,
     which no other module reads.
 
-    Item v = 0..V holds in field k-1, at bit w*(k-1), the residue k*v mod V
+    Row v = 0..V holds in field k-1, at bit w*(k-1), the residue k*v mod V
     of k = 1..V-1, or V + 1 where it fails the verdict: the point of class k
     lies in the closed simplex iff b*(k*v mod V) >= (b-a)*v for every weight
     v, and in its interior iff each inequality is strict (`place_class`), so
@@ -194,9 +183,14 @@ class PackedRows(list):
 
     `passes` tests a run of candidates by the same rule without negating a
     big integer: the bitset is empty iff the sum has every bit of `mask`
-    set.  P, the bias plus the rows of all weights but the last two, is
-    summed again only when that prefix changes, so along the last loop of
-    `enumerate_blowups` each candidate costs two additions.
+    set.  Each candidate has exactly d weights, as the census gives it, so
+    the prefix n[:d-2] and the last two weights n[d-2], n[d-1] are read at
+    offsets fixed by d.  P, the bias plus the rows of that prefix, is summed
+    again only when the prefix changes, so along the last loop of
+    `enumerate_blowups` each candidate costs two additions, the `& mask` and
+    the compare.  The rows are the plain list `rows`, not a subclass of one:
+    CPython 3.11 specialises an int index only on an exact list, and a
+    subclass would send each of the two row reads through the generic path.
 
     Row 1 is the low V-1 fields of ones*ones, and row v+1 is row v plus row
     1, less V in each field that reaches V: the top bits of the sum plus
@@ -207,6 +201,7 @@ class PackedRows(list):
     """
 
     def __init__(self, d: int, V: int, eps: Fraction = EPS_ONE, interior: bool = False):
+        self.d = d
         self.width = width = (d * V).bit_length() + 1
         top, low = 1 << width - 1, (1 << width * (V - 1)) - 1
         ones = low // ((1 << width) - 1)
@@ -226,21 +221,26 @@ class PackedRows(list):
             if t:
                 fails = (mask & ~(row + (top - t) * ones)) >> width - 1
                 rows[v] = row & ~(fails * full) | fails * (V + 1)
-        super().__init__(rows)
+        self.rows = rows
 
     def classes(self, n: Sequence[int]) -> int:
         """The bitset of the classes of the weights n that meet the verdict."""
-        return self.mask & ~sum([self[v] for v in n], self.bias)
+        rows = self.rows
+        return self.mask & ~sum([rows[v] for v in n], self.bias)
 
     def passes(self, candidates: Iterable[WeightVector]) -> Iterator[tuple[int, ...]]:
-        """The weights of each candidate none of whose classes meets the verdict."""
-        mask, prefix = self.mask, None
+        """The weights of each candidate, of d weights, none of whose classes
+        meets the verdict."""
+        rows, mask, bias, k = self.rows, self.mask, self.bias, self.d - 2
+        prefix = None
         for w in candidates:
             n = w.n
-            if n[:-2] != prefix:
-                prefix = n[:-2]
-                P = sum([self[v] for v in prefix], self.bias)
-            if (P + self[n[-2]] + self[n[-1]]) & mask == mask:
+            if n[:k] != prefix:
+                prefix = n[:k]
+                P = bias
+                for v in prefix:
+                    P += rows[v]
+            if (P + rows[n[k]] + rows[n[k + 1]]) & mask == mask:
                 yield n
 
 
@@ -386,15 +386,3 @@ def brute_force_lattice_points(
         if cls is not MembershipClass.OUTSIDE:
             found.append((x, cls))
     return found
-
-
-def to_integer_lattice(
-    x: Sequence[Fraction | int], n: WeightVector
-) -> tuple[Fraction, ...]:
-    """Affine map fixing each e_i and sending the generating point to 0.
-
-    Carries Z^d + Z*p bijectively onto Z^d and the shrunk simplex onto
-    eps * Conv(e_1, ..., e_d, n); the origin goes to n.
-    """
-    t = 1 - sum(Fraction(v) for v in x)
-    return tuple(Fraction(v) + t * ni for v, ni in zip(x, n.n))

@@ -16,13 +16,12 @@ result is then validated to be positive and primitive).  `apex_residues` is
 that recipe, shared with the sporadic records; `scan_families` runs it over
 the whole table.
 
-A note on the ratio criterion (`check_ratio_lemma`): the underlying
-one-dimensional bound caps the smallest weight of every blowup in the family,
-and that is the reading implemented here; a stronger largest-weight phrasing
-is sometimes attached to this criterion in the literature but is not what the
-bound proves.  Similarly, `bound_subset` returns the modulus s itself as the
-bound; sharper family-specific refinements (s - 1 for one known family) are
-not generalised.
+A note on the one-dimensional bound (`bound_dim1`): it caps the smallest
+weight of every blowup in the family, and that is the reading implemented
+here; a stronger largest-weight phrasing is sometimes attached to the ratio
+criterion built on it in the literature but is not what the bound proves.
+The ratio criterion and the congruence bound on a subset of weights serve
+only the tests, which keep them in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -259,37 +258,6 @@ def bound_dim1(label: str, apex: int) -> Fraction:
         raise ValueError(f"apex must be in {APICES}")
     b = get_quintuple(label).base
     return max(Fraction(-x, b[apex - 1]) for i, x in enumerate(b) if i != apex - 1)
-
-
-def bound_subset(point, J, s: int) -> int | None:
-    """Congruence bound on a subset of weights.
-
-    `point` is a generating point in any integer-translate representation
-    (entries exact rationals), `J` a proper nonempty set of 1-based coordinate
-    positions and `s` a positive integer.  If sum_{i in J} p_i - s * sum_i p_i
-    is an integer then sum_{i in J} n_i <= s for the blowup weights n (unless
-    every weight off J vanishes), and s is returned; otherwise None.
-    """
-    coords = tuple(Fraction(v) for v in point)
-    J = sorted(set(map(operator.index, J)))
-    s = operator.index(s)
-    if not J or len(J) >= len(coords) or not all(1 <= j <= len(coords) for j in J):
-        raise ValueError(f"J must be a proper nonempty subset of 1..{len(coords)}")
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    value = sum(coords[j - 1] for j in J) - s * sum(coords)
-    return s if value.denominator == 1 else None
-
-
-def check_ratio_lemma(label: str) -> bool:
-    """True when max(-q_1/q_3, -q_5/q_2) < 7 on the (sorted) base entries.
-
-    Rows passing this test only produce blowups with smallest weight at most
-    6, whichever entry serves as apex.  N rows are evaluated on their base.
-    Every base row has q_1 > q_2 > 0 > q_3 >= q_4 >= q_5, so the bounds at
-    apex 3 and apex 2 are exactly -q_1/q_3 and -q_5/q_2.
-    """
-    return max(bound_dim1(label, 3), bound_dim1(label, 2)) < 7
 
 
 def table_csv() -> str:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, inf
 
 from hypothesis import assume, strategies as st
 
 from blowups import WeightVector
-from blowups.exactgeom import MembershipClass, _barycentric_class, brute_force_lattice_points
+from blowups.exactgeom import (
+    EPS_ONE,
+    MembershipClass,
+    _barycentric_class,
+    brute_force_lattice_points,
+    checked_eps,
+)
+from blowups.families import bound_dim1
 
 F = Fraction
 
@@ -119,3 +127,69 @@ def mld_reference(n: WeightVector) -> Fraction | float:
             )
             best = min(best, Fraction(least, ni))
     return best
+
+
+# ------------------------------------- references and bounds only tests call
+
+
+def kawakita_form(n: WeightVector) -> bool:
+    """Dimension-3 terminality normal form: weights (1, a, b) with gcd(a, b) = 1."""
+    if n.d != 3:
+        raise ValueError(f"normal form is for 3 weights, got {n.d}")
+    a, b, c = sorted(n.n)
+    return a == 1 and gcd(b, c) == 1
+
+
+def classify_point(x, n: WeightVector, eps=EPS_ONE) -> MembershipClass:
+    """Classify x against the simplex of (n, eps) by exact barycentric coordinates."""
+    eps = checked_eps(eps)
+    if len(x) != n.d:
+        raise ValueError(f"point has dimension {len(x)}, simplex has {n.d}")
+    V = n.V
+    y = [(Fraction(xi) - (1 - eps) * ni / V) / eps for xi, ni in zip(x, n.n)]
+    return _barycentric_class([1 - sum(y), *y], 1)
+
+
+def to_integer_lattice(x, n: WeightVector) -> tuple[Fraction, ...]:
+    """Affine map fixing each e_i and sending the generating point to 0.
+
+    Carries Z^d + Z*p bijectively onto Z^d and the shrunk simplex onto
+    eps * Conv(e_1, ..., e_d, n); the origin goes to n.
+    """
+    t = 1 - sum(Fraction(v) for v in x)
+    return tuple(Fraction(v) + t * ni for v, ni in zip(x, n.n))
+
+
+def bound_subset(point, J, s: int) -> int | None:
+    """Congruence bound on a subset of weights.
+
+    `point` is a generating point in any integer-translate representation
+    (entries exact rationals), `J` a proper nonempty set of 1-based coordinate
+    positions and `s` a positive integer.  If sum_{i in J} p_i - s * sum_i p_i
+    is an integer then sum_{i in J} n_i <= s for the blowup weights n (unless
+    every weight off J vanishes), and s is returned; otherwise None.  The
+    bound is the modulus s itself; sharper family-specific refinements (s - 1
+    for one known family) are not generalised.
+    """
+    coords = tuple(Fraction(v) for v in point)
+    J = sorted(set(map(operator.index, J)))
+    s = operator.index(s)
+    if not J or len(J) >= len(coords) or not all(1 <= j <= len(coords) for j in J):
+        raise ValueError(f"J must be a proper nonempty subset of 1..{len(coords)}")
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    value = sum(coords[j - 1] for j in J) - s * sum(coords)
+    return s if value.denominator == 1 else None
+
+
+def check_ratio_lemma(label: str) -> bool:
+    """True when max(-q_1/q_3, -q_5/q_2) < 7 on the (sorted) base entries.
+
+    Rows passing this test only produce blowups with smallest weight at most
+    6, whichever entry serves as apex: the one-dimensional bound caps the
+    smallest weight of every blowup in the family, not the largest.  N rows
+    are evaluated on their base.  Every base row has q_1 > q_2 > 0 > q_3 >=
+    q_4 >= q_5, so the bounds at apex 3 and apex 2 are exactly -q_1/q_3 and
+    -q_5/q_2.
+    """
+    return max(bound_dim1(label, 3), bound_dim1(label, 2)) < 7

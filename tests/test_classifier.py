@@ -13,20 +13,25 @@ from blowups.classifier import (
     classify,
     is_canonical_fast,
     is_terminal_fast,
-    kawakita_form,
 )
 from blowups.exactgeom import (
     MembershipClass,
     WeightVector,
     ZeroWeightError,
     _coset_classes,
-    classify_point,
     frac_point,
     residue_classes,
 )
 from blowups.search import enumerate_blowups
 
-from conftest import PRUNE_EPSILONS, flags_from_brute, large_index_vectors, weight_vectors
+from conftest import (
+    PRUNE_EPSILONS,
+    classify_point,
+    flags_from_brute,
+    kawakita_form,
+    large_index_vectors,
+    weight_vectors,
+)
 
 F = Fraction
 

@@ -25,12 +25,10 @@ from blowups.exactgeom import (
     ascii_int,
     brute_force_lattice_points,
     checked_eps,
-    classify_point,
     frac_point,
     lattice_points_in_shrunk_simplex,
     place_class,
     residue_classes,
-    to_integer_lattice,
 )
 from blowups.search import CensusQuery, enumerate_blowups, partition_count
 
@@ -38,8 +36,10 @@ from conftest import (
     PRUNE_EPSILONS,
     _unpruned_lattice_points,
     _verdicts,
+    classify_point,
     large_index_vectors,
     mld_reference,
+    to_integer_lattice,
     weight_vectors,
 )
 
@@ -446,9 +446,10 @@ def test_packed_rows_hold_every_residue(d):
     edges = {V for j in range(7, 10) for V in ((2**j - 1) // d, -(-2**j // d))}
     for V in sorted({*range(1, 61), 419, *edges}):
         for e, interior in _BLOCKS if V <= 30 else _BLOCKS[:1]:
-            rows = PackedRows(d, V, e, interior)
-            w, a, b = rows.width, e.numerator, e.denominator
-            assert 2 ** (w - 1) > d * V >= 2 ** (w - 2) and len(rows) == V + 1
+            packed = PackedRows(d, V, e, interior)
+            rows, w, a, b = packed.rows, packed.width, e.numerator, e.denominator
+            assert type(rows) is list and len(rows) == V + 1 and packed.d == d
+            assert 2 ** (w - 1) > d * V >= 2 ** (w - 2)
             for v, row in enumerate(rows):
                 fields = [
                     V + 1 if b * r < (b - a) * v or interior and b * r == (b - a) * v else r
@@ -456,8 +457,8 @@ def test_packed_rows_hold_every_residue(d):
                 ]
                 assert _row_fields(row, w, V - 1) == fields, (V, v, e, interior)
                 assert row >> w * (V - 1) == 0, (V, v)
-            assert _row_fields(rows.mask, w, V - 1) == [1 << w - 1] * (V - 1)
-            assert _row_fields(rows.bias, w, V - 1) == [(1 << w - 1) - 1 - V] * (V - 1)
+            assert _row_fields(packed.mask, w, V - 1) == [1 << w - 1] * (V - 1)
+            assert _row_fields(packed.bias, w, V - 1) == [(1 << w - 1) - 1 - V] * (V - 1)
 
 
 @pytest.mark.parametrize("d,vmax", [(2, 60), (3, 36), (4, 26), (5, 18)])
@@ -494,20 +495,31 @@ def _candidate_windows(draw):
 def test_packed_passes_match_classes_and_kernel_sampled(drawn):
     # the prefix cache of `passes`, across the prefix changes of a window,
     # against the bitset of each candidate and the scalar kernel of the block
-    rows, (e, interior), window = drawn
+    rows, block, window = drawn
+    _check_passes(rows, block, window)
+
+
+def _check_passes(rows, block, window):
+    # `passes` over a run of candidates against the bitset of each and the
+    # scalar kernel of the block
+    e, interior = block
     kernel = is_canonical_fast if interior else is_terminal_fast
     got = list(rows.passes(window))
-    assert got == [w.n for w in window if not rows.classes(w.n)]
-    assert got == [w.n for w in window if kernel(w, e)]
+    assert got == [w.n for w in window if not rows.classes(w.n)], (rows.d, block)
+    assert got == [w.n for w in window if kernel(w, e)], (rows.d, block)
 
 
 def test_packed_field_width_edges():
     # both sides of d*V = 2^j at d = 2..5 and j = 6, 7: at d = 4, d*V = 124
-    # fits 8-bit fields and d*V = 128 needs 9 bits
+    # fits 8-bit fields and d*V = 128 needs 9 bits.  Every candidate of each
+    # edge index, by its bitsets and by `passes` in every block
     for d in (2, 3, 4, 5):
         for V in sorted({V for j in (6, 7) for V in ((2**j - 1) // d, -(-2**j // d))}):
             assert PackedRows(d, V).width == (d * V).bit_length() + 1
-            _check_packed_against_scalar(list(enumerate_blowups(d, V)), d, V)
+            window = list(enumerate_blowups(d, V))
+            _check_packed_against_scalar(window, d, V)
+            for block in _BLOCKS:
+                _check_passes(PackedRows(d, V, *block), block, window)
     assert [PackedRows(4, V).width for V in (31, 32)] == [8, 9]
     # d*V = 32,772 is just past 2^15, so 16-bit fields no longer do; the rows
     # at V = 8,193 take 140 MB, so its vectors share a block of each of two

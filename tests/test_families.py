@@ -12,8 +12,6 @@ from blowups.families import (
     apex_residues,
     blowup_from_quintuple,
     bound_dim1,
-    bound_subset,
-    check_ratio_lemma,
     get_quintuple,
     instantiate,
     quintuple_table,
@@ -22,7 +20,7 @@ from blowups.families import (
     table_csv,
 )
 
-from conftest import RATIO_TABLE
+from conftest import RATIO_TABLE, bound_subset, check_ratio_lemma
 
 F = Fraction
 

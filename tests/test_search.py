@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import gcd
 from pathlib import Path
 
@@ -286,6 +287,36 @@ def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
         (397, (1, 1, 4)), (396, (1, 2, 3)), (395, (2, 2, 2))
     ]
     assert got.histogram.items() == [(1, 3)]
+
+
+def test_census_drains_each_index_once_through_the_module_global(monkeypatch):
+    # the traced benchmark round counts candidates by swapping
+    # `search.enumerate_blowups` for an eager, counting wrapper, so every
+    # block, packed or scalar, looks it up through the module once per index
+    # and drains it.  d = 4, V <= 30 has both kinds of index
+    q = CensusQuery(d=4, v_max=30)
+    packed = {V for V in range(3, 31) if partition_count(V + 1, 4) >= V}
+    assert packed and packed != set(range(3, 31))
+    unwrapped = run_census(q)
+    enumerate_lazily, calls, handed = search.enumerate_blowups, [], []
+
+    def eager(d, V):
+        ws = list(enumerate_lazily(d, V))
+        calls.append((d, V, len(ws)))
+        handed.append(it := iter(ws))
+        return it
+
+    monkeypatch.setattr(search, "enumerate_blowups", eager)
+    got = run_census(q)
+    assert got.histogram == unwrapped.histogram and got.hits == unwrapped.hits
+
+    def primitive(V):  # the primitive partitions of V + 1 into 4 parts
+        parts = combinations_with_replacement(range(1, V), 4)
+        return sum(sum(n) == V + 1 and gcd(*n) == 1 for n in parts)
+
+    # each index once, with all of its candidates
+    assert sorted(calls, key=lambda c: c[1]) == [(4, V, primitive(V)) for V in range(3, 31)]
+    assert all(next(it, None) is None for it in handed)  # every candidate consumed
 
 
 @pytest.mark.parametrize(
