@@ -16,9 +16,9 @@ calling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exactgeom import (
     EPS_ONE,
     INTERIOR,
@@ -32,8 +32,7 @@ from .exactgeom import (
 )
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(Record):
     """Verdict of `classify`: eps and the refuting lattice point, if any.
 
     Both flags are read off the witness.  Terminal means there is none;
@@ -42,8 +41,12 @@ class SingularityClass:
     refutes eps-log terminal only.
     """
 
-    eps: Fraction
-    witness: LatticeWitness | None = None
+    __slots__ = ("eps", "witness")
+    _fields = __slots__
+
+    def __init__(self, eps: Fraction, witness: LatticeWitness | None = None) -> None:
+        _set_eps(self, eps)
+        _set_witness(self, witness)
 
     @property
     def eps_log_terminal(self) -> bool:
@@ -52,6 +55,9 @@ class SingularityClass:
     @property
     def eps_log_canonical(self) -> bool:
         return self.witness is None or self.witness.membership is not INTERIOR
+
+
+_set_eps, _set_witness = SingularityClass.eps.__set__, SingularityClass.witness.__set__
 
 
 def classify(n: WeightVector, eps: Fraction | int = EPS_ONE) -> SingularityClass:

@@ -16,13 +16,12 @@ propagates.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import families, projections, sporadic
 from .classifier import classify, is_terminal_fast
@@ -191,9 +190,16 @@ def cmd_width(args) -> tuple[Iterable[str], int]:
         tuple(tuple(p) for p in raw), args.origin_index
     )
     ell = projections.ell_L(cfg)
-    payload = dataclasses.asdict(cfg)  # points, origin_index, facets; tuples dump as lists
-    payload["max_facet_width"] = max(f.width for f in cfg.facets)
-    payload["ell_L"] = None if ell is None else str(ell)
+    payload = {  # tuples dump as lists
+        "points": cfg.points,
+        "origin_index": cfg.origin_index,
+        "facets": [
+            {"normal": f.normal, "offset": f.offset, "incident": f.incident, "width": f.width}
+            for f in cfg.facets
+        ],
+        "max_facet_width": max(f.width for f in cfg.facets),
+        "ell_L": None if ell is None else str(ell),
+    }
     return [_json(payload)], 0
 
 

@@ -29,11 +29,12 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+
+from ._record import Record
 
 ORACLE_CAP = 60  # largest index of the brute-force scan, whose cost is ~ eps^d * V
 EPS_ONE = Fraction(1)  # the kernels' default eps
@@ -93,8 +94,7 @@ class ZeroWeightError(ValueError):
     """A weight below 1 is a degenerate blowup and is refused, not classified."""
 
 
-@dataclass(frozen=True, slots=True)
-class WeightVector:
+class WeightVector(Record):
     """The weights of a blowup of A^d: d >= 2 positive integers with gcd 1.
 
     A weight below 1 raises `ZeroWeightError`, so every instance is a genuine
@@ -102,19 +102,19 @@ class WeightVector:
     once, when the vector is made, and equality, hash and repr read only n.
     """
 
-    n: tuple[int, ...]
-    V: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "V")
+    _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        n = tuple(map(operator.index, self.n))
-        object.__setattr__(self, "n", n)
+    def __init__(self, n: tuple[int, ...]) -> None:
+        n = tuple(map(operator.index, n))
+        _set_n(self, n)
         if len(n) < 2:
             raise ValueError("need at least two weights")
         if min(n) < 1:
             raise ZeroWeightError(f"weights must be positive, got {n}")
         if gcd(*n) != 1:
             raise ValueError(f"weights {n} are not primitive")
-        object.__setattr__(self, "V", sum(n) - 1)
+        _set_V(self, sum(n) - 1)
 
     @property
     def d(self) -> int:
@@ -125,19 +125,25 @@ class WeightVector:
         return min(self.n)
 
 
-# the slot descriptors set a field of a frozen vector without its __setattr__
+# the slot descriptors set a field of a frozen record without its __setattr__
 _set_n, _set_V = WeightVector.n.__set__, WeightVector.V.__set__
 
 
-@dataclass(frozen=True)
-class LatticeWitness:
+class LatticeWitness(Record):
     """A non-vertex coset point of the simplex: its class k >= 1 and membership.
 
     The point is frac(k*p), with no integer translate; `frac_point` builds it.
     """
 
-    k: int
-    membership: MembershipClass
+    __slots__ = ("k", "membership")
+    _fields = __slots__
+
+    def __init__(self, k: int, membership: MembershipClass) -> None:
+        _set_k(self, k)
+        _set_membership(self, membership)
+
+
+_set_k, _set_membership = LatticeWitness.k.__set__, LatticeWitness.membership.__set__
 
 
 def frac_point(n: WeightVector, k: int) -> tuple[Fraction, ...]:

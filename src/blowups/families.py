@@ -27,10 +27,10 @@ only the tests, which keep them in `tests/conftest.py`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .classifier import is_terminal_fast
 from .exactgeom import WeightVector
 
@@ -39,8 +39,7 @@ class DivisibilityError(ValueError):
     """The index V is incompatible with the family's correction denominators."""
 
 
-@dataclass(frozen=True)
-class Quintuple:
+class Quintuple(Record):
     """One family row: base + sign*V*nums/index, all in integers.
 
     `base` sums to 0.  `index` is the order of the family's group over its
@@ -48,10 +47,13 @@ class Quintuple:
     for the N rows, whose `nums` sum to `index` and share no factor with it.
     """
 
-    label: str
-    base: tuple[int, int, int, int, int]
-    nums: tuple[int, int, int, int, int]  # the '+' resolution
-    index: int
+    __slots__ = ("label", "base", "nums", "index")
+    _fields = __slots__
+
+    def __init__(
+        self, label: str, base: tuple[int, ...], nums: tuple[int, ...], index: int
+    ) -> None:
+        self._set_fields(label, base, nums, index)  # nums: the '+' resolution
 
 
 def _q(label: str, base: tuple[int, ...]) -> Quintuple:

@@ -18,26 +18,25 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class ProjectedConfig:
+
+class ProjectedConfig(Record):
     """Multiset of integer points in Z^k (k <= 3) with a designated origin image.
 
     `facets` holds every facet-supporting hyperplane of the convex hull, with
-    outward normals, in (normal, offset) order.
+    outward normals, in (normal, offset) order.  It is computed from the
+    points, so equality, hash and repr read the points and the origin alone.
     """
 
-    points: tuple[tuple[int, ...], ...]
-    origin_index: int = 0
-    facets: tuple[FacetData, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("points", "origin_index", "facets")
+    _fields = ("points", "origin_index")
 
-    def __post_init__(self) -> None:
-        pts = tuple(tuple(map(operator.index, p)) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points: tuple[tuple[int, ...], ...], origin_index: int = 0) -> None:
+        pts = tuple(tuple(map(operator.index, p)) for p in points)
         if not pts:
             raise ValueError("empty configuration")
         k = len(pts[0])
@@ -45,8 +44,8 @@ class ProjectedConfig:
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {k}")
         if any(len(p) != k for p in pts):
             raise ValueError("points have mixed dimensions")
-        origin = operator.index(self.origin_index)
-        object.__setattr__(self, "origin_index", origin)
+        origin = operator.index(origin_index)
+        self._set_fields(pts, origin)
         if not 0 <= origin < len(pts):
             raise ValueError(f"origin index {origin} out of range")
         found: dict[tuple[tuple[int, ...], int], FacetData] = {}
@@ -67,8 +66,7 @@ class ProjectedConfig:
             raise ValueError("points do not affinely span the ambient space")
 
 
-@dataclass(frozen=True)
-class FacetData:
+class FacetData(Record):
     """A facet-supporting hyperplane {x : normal . x = offset} of the hull.
 
     The primitive integer normal is oriented outward (normal . x <= offset for
@@ -77,10 +75,13 @@ class FacetData:
     normal.
     """
 
-    normal: tuple[int, ...]
-    offset: int
-    incident: tuple[int, ...]
-    width: int
+    __slots__ = ("normal", "offset", "incident", "width")
+    _fields = __slots__
+
+    def __init__(
+        self, normal: tuple[int, ...], offset: int, incident: tuple[int, ...], width: int
+    ) -> None:
+        self._set_fields(normal, offset, incident, width)
 
 
 def _dot(f, p) -> int:

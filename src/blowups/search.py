@@ -33,13 +33,13 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, factorial, gcd
-from typing import Iterator
 
+from ._record import Record
 from .classifier import is_canonical_fast, is_terminal_fast
 from .exactgeom import EPS_ONE, PackedRows, WeightVector, _set_n, _set_V, checked_eps
 
@@ -60,40 +60,58 @@ class BudgetExceeded(RuntimeError):
     """Projected residue steps are above the census budget."""
 
 
-@dataclass(frozen=True)
-class CensusQuery:
-    d: int
-    v_max: int
-    v_min: int = 1
-    eps: Fraction = EPS_ONE
-    verdict: str = "terminal"
-    min_weight: int | None = None
-    budget: int = 10**11  # residue steps
+class CensusQuery(Record):
+    """The census to run: dimension, index range, verdict at eps, the least
+    n_min kept among the hits, and the budget in residue steps.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", checked_eps(self.eps))
-        for name in ("d", "v_min", "v_max", "budget", "min_weight"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, operator.index(value))
-        if self.d < 2:
+    The defaults are class attributes, which the CLI's defaults read too.
+    """
+
+    _fields = ("d", "v_max", "v_min", "eps", "verdict", "min_weight", "budget")
+    v_min = 1
+    eps = EPS_ONE
+    verdict = "terminal"
+    min_weight = None
+    budget = 10**11  # residue steps
+
+    def __init__(
+        self,
+        d: int,
+        v_max: int,
+        v_min: int = v_min,
+        eps: Fraction = eps,
+        verdict: str = verdict,
+        min_weight: int | None = min_weight,
+        budget: int = budget,
+    ) -> None:
+        eps = checked_eps(eps)
+        d, v_min, v_max, budget = map(operator.index, (d, v_min, v_max, budget))
+        if min_weight is not None:
+            min_weight = operator.index(min_weight)
+        self._set_fields(d, v_max, v_min, eps, verdict, min_weight, budget)
+        if d < 2:
             raise ValueError("dimension must be at least 2")
-        if not 1 <= self.v_min <= self.v_max:
-            raise ValueError(f"empty index range [{self.v_min}, {self.v_max}]")
-        if self.verdict not in VERDICTS:
+        if not 1 <= v_min <= v_max:
+            raise ValueError(f"empty index range [{v_min}, {v_max}]")
+        if verdict not in VERDICTS:
             raise ValueError(f"verdict must be one of {VERDICTS}")
-        if self.verdict in ("terminal", "canonical") and self.eps != 1:
-            raise ValueError(f"verdict {self.verdict!r} means eps = 1")
-        if self.min_weight is not None and self.min_weight < 1:
+        if verdict in ("terminal", "canonical") and eps != 1:
+            raise ValueError(f"verdict {verdict!r} means eps = 1")
+        if min_weight is not None and min_weight < 1:
             raise ValueError("min_weight threshold must be >= 1")
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
 
 
-@dataclass
-class Histogram:
+class Histogram(Record):
     """Counts of the smallest weight over a population of blowups."""
 
-    counts: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("counts",)
+    _fields = __slots__
+    __hash__ = None
+
+    def __init__(self, counts: dict[int, int]) -> None:
+        self._set_fields(counts)
 
     @property
     def total(self) -> int:
@@ -103,8 +121,7 @@ class Histogram:
         return sorted(self.counts.items())
 
 
-@dataclass
-class CensusResult:
+class CensusResult(Record):
     """The histogram of a census and its hits, as (V, weights) blocks in V order.
 
     The weights of a block are those of its hits in lex order, d per hit,
@@ -114,9 +131,12 @@ class CensusResult:
     reads `hits`, so its vectors go through the checked constructor.
     """
 
-    histogram: Histogram
-    d: int
-    blocks: list[tuple[int, array]]
+    __slots__ = ("histogram", "d", "blocks")
+    _fields = __slots__
+    __hash__ = None
+
+    def __init__(self, histogram: Histogram, d: int, blocks: list[tuple[int, array]]) -> None:
+        self._set_fields(histogram, d, blocks)
 
     @property
     def hits(self) -> list[WeightVector]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .exactgeom import WeightVector, ascii_int
 from .families import APICES, apex_residues
 
@@ -32,26 +32,30 @@ class DatasetIntegrityError(ValueError):
     """A parsed record violates the residue-sum invariant."""
 
 
-@dataclass(frozen=True)
-class SporadicRecord:
-    V: int
-    b: tuple[int, int, int, int, int]
+class SporadicRecord(Record):
+    """A volume V >= 1 and five residues in [0, V) whose sum is a multiple of V."""
 
-    def __post_init__(self) -> None:
-        b = tuple(map(operator.index, self.b))
-        object.__setattr__(self, "V", operator.index(self.V))
-        object.__setattr__(self, "b", b)
-        if self.V < 1:
+    __slots__ = ("V", "b")
+    _fields = __slots__
+
+    def __init__(self, V: int, b: tuple[int, int, int, int, int]) -> None:
+        b = tuple(map(operator.index, b))
+        V = operator.index(V)
+        _set_V(self, V)
+        _set_b(self, b)
+        if V < 1:
             raise ValueError("volume must be positive")
         if len(b) != 5:
             raise ValueError(f"need exactly five residues, got {len(b)}")
-        if any(not 0 <= x < self.V for x in b):
-            raise ValueError(f"residues {b} not reduced mod {self.V}")
-        if sum(b) % self.V != 0:
+        if any(not 0 <= x < V for x in b):
+            raise ValueError(f"residues {b} not reduced mod {V}")
+        if sum(b) % V != 0:
             raise DatasetIntegrityError(
-                f"record (V={self.V}, b={b}): residue sum {sum(b)} "
-                f"is not divisible by {self.V}"
+                f"record (V={V}, b={b}): residue sum {sum(b)} is not divisible by {V}"
             )
+
+
+_set_V, _set_b = SporadicRecord.V.__set__, SporadicRecord.b.__set__
 
 
 # Known records: the smallest-weight maximiser (V=245), the largest-volume
@@ -81,8 +85,10 @@ def parse_dataset(path: str | Path, strict: bool = False) -> list[SporadicRecord
         if not strict and (not line or line.startswith("#")):
             continue
         fields = line.split() if strict else line.replace(",", " ").split()
+        # every field of an ASCII line with no "_" is one `int` reads as `ascii_int` does
+        to_int = int if line.isascii() and "_" not in line else ascii_int
         try:
-            V, *b = map(ascii_int, fields)
+            V, *b = map(to_int, fields)
             if not strict and V:  # V = 0 is left for SporadicRecord to refuse
                 b = [x % V for x in b]
             records.append(SporadicRecord(V, tuple(b)))
@@ -131,10 +137,11 @@ def sporadic_report(records) -> dict:
     best: tuple[int, SporadicRecord, WeightVector] | None = None
     for r in records:
         for _, w in blowups_from_record(r):
-            hist[w.n_min] += 1
+            n_min = w.n_min
+            hist[n_min] += 1
             seen.add((r.V, tuple(sorted(w.n))))
-            if best is None or w.n_min > best[0]:
-                best = (w.n_min, r, w)
+            if best is None or n_min > best[0]:
+                best = (n_min, r, w)
     report = {
         "records": len(records),
         "blowups_total": hist.total(),

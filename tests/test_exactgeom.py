@@ -30,7 +30,17 @@ from blowups.exactgeom import (
     place_class,
     residue_classes,
 )
-from blowups.search import CensusQuery, enumerate_blowups, partition_count
+from blowups.families import get_quintuple
+from blowups.projections import ProjectedConfig
+from blowups.search import (
+    CensusQuery,
+    CensusResult,
+    Histogram,
+    enumerate_blowups,
+    partition_count,
+    run_census,
+)
+from blowups.sporadic import EMBEDDED_RECORDS
 
 from conftest import (
     PRUNE_EPSILONS,
@@ -76,10 +86,43 @@ def test_weight_vector_invariants():
 
 
 def test_weight_vector_pickle_round_trip():
-    # a frozen slotted dataclass pickles through its generated state methods
+    # a record pickles as its constructor and its fields, so loading checks it
+    # again and rebuilds what is derived: V, and a configuration's facets; each
+    # of the package's ten records also compares, hashes and stays frozen
     for w in (WeightVector((6, 10, 15, 7)), next(enumerate_blowups(4, 37))):
         back = pickle.loads(pickle.dumps(w))
         assert type(back) is WeightVector and (back.n, back.V) == (w.n, w.V)
+    bad = object.__new__(WeightVector)
+    WeightVector.n.__set__(bad, (2, 4))
+    with pytest.raises(ValueError, match="not primitive"):
+        pickle.loads(pickle.dumps(bad))
+    cfg = ProjectedConfig(((0, 0), (2, 0), (0, 2)), 1)
+    records = [
+        WeightVector((6, 10, 15, 7)),
+        lattice_points_in_shrunk_simplex(WeightVector((1, 2)), 1)[0],
+        classify(WeightVector((1, 2)), 1),
+        get_quintuple("N17"),
+        cfg,
+        cfg.facets[0],
+        CensusQuery(d=4, v_max=30, eps=F(1, 2), verdict="eps-lc", min_weight=2),
+        Histogram({1: 3, 2: 1}),
+        run_census(CensusQuery(d=3, v_max=12)),
+        EMBEDDED_RECORDS[0],
+    ]
+    assert len({type(r) for r in records}) == 10
+    for r in records:
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is type(r) and back == r and repr(back) == repr(r)
+        if isinstance(r, (Histogram, CensusResult)):  # they hold a dict and a list
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(r)
+        else:
+            assert hash(back) == hash(r)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, r._fields[0], None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, r._fields[-1])
+    assert pickle.loads(pickle.dumps(cfg)).facets == cfg.facets
 
 
 def test_weight_vector_refuses_non_integers():
