@@ -1,12 +1,13 @@
 """The frozen value record that the package's result and input types share.
 
-A subclass names its fields in `_fields`, in the order its `__init__` takes
-them, and sets them in that `__init__` by `_set_fields` or, where a record is
-made in a hot loop, through its slot descriptors.  Equality, hash, repr and
-pickling read those fields alone, and unpickling calls `__init__` again, so a
-pickled record is checked anew.  This stands in for a frozen `dataclass`,
-whose import and generated methods would cost every short command several
-milliseconds at start-up.
+A subclass's fields are its `__slots__`, or `_fields` where they are not all
+of its slots, in constructor order.  The base constructor stores one value
+per field; a record that checks its input passes it the checked values, and
+one made in a hot loop sets its slots through their descriptors instead.
+Equality, hash, repr and pickling read the fields alone, and unpickling calls
+the constructor again, so a pickled record is checked anew.  This stands in
+for a frozen `dataclass`, whose import and generated methods would cost every
+short command several milliseconds at start-up.
 """
 
 
@@ -14,13 +15,19 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        if "__slots__" in cls.__dict__ and "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {fields}, got {len(values)} values")
+        for f, v in zip(fields, values):  # past the frozen __setattr__
+            object.__setattr__(self, f, v)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
-
-    def _set_fields(self, *values) -> None:
-        # for an __init__: the fields in `_fields` order, past the frozen __setattr__
-        for f, v in zip(self._fields, values):
-            object.__setattr__(self, f, v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -42,7 +42,6 @@ class SingularityClass(Record):
     """
 
     __slots__ = ("eps", "witness")
-    _fields = __slots__
 
     def __init__(self, eps: Fraction, witness: LatticeWitness | None = None) -> None:
         _set_eps(self, eps)

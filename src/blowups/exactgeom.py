@@ -136,7 +136,6 @@ class LatticeWitness(Record):
     """
 
     __slots__ = ("k", "membership")
-    _fields = __slots__
 
     def __init__(self, k: int, membership: MembershipClass) -> None:
         _set_k(self, k)

@@ -47,13 +47,7 @@ class Quintuple(Record):
     for the N rows, whose `nums` sum to `index` and share no factor with it.
     """
 
-    __slots__ = ("label", "base", "nums", "index")
-    _fields = __slots__
-
-    def __init__(
-        self, label: str, base: tuple[int, ...], nums: tuple[int, ...], index: int
-    ) -> None:
-        self._set_fields(label, base, nums, index)  # nums: the '+' resolution
+    __slots__ = ("label", "base", "nums", "index")  # nums: the '+' resolution
 
 
 def _q(label: str, base: tuple[int, ...]) -> Quintuple:

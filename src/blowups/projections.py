@@ -45,7 +45,7 @@ class ProjectedConfig(Record):
         if any(len(p) != k for p in pts):
             raise ValueError("points have mixed dimensions")
         origin = operator.index(origin_index)
-        self._set_fields(pts, origin)
+        super().__init__(pts, origin)
         if not 0 <= origin < len(pts):
             raise ValueError(f"origin index {origin} out of range")
         found: dict[tuple[tuple[int, ...], int], FacetData] = {}
@@ -76,12 +76,6 @@ class FacetData(Record):
     """
 
     __slots__ = ("normal", "offset", "incident", "width")
-    _fields = __slots__
-
-    def __init__(
-        self, normal: tuple[int, ...], offset: int, incident: tuple[int, ...], width: int
-    ) -> None:
-        self._set_fields(normal, offset, incident, width)
 
 
 def _dot(f, p) -> int:

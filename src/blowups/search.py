@@ -88,7 +88,7 @@ class CensusQuery(Record):
         d, v_min, v_max, budget = map(operator.index, (d, v_min, v_max, budget))
         if min_weight is not None:
             min_weight = operator.index(min_weight)
-        self._set_fields(d, v_max, v_min, eps, verdict, min_weight, budget)
+        super().__init__(d, v_max, v_min, eps, verdict, min_weight, budget)
         if d < 2:
             raise ValueError("dimension must be at least 2")
         if not 1 <= v_min <= v_max:
@@ -107,11 +107,7 @@ class Histogram(Record):
     """Counts of the smallest weight over a population of blowups."""
 
     __slots__ = ("counts",)
-    _fields = __slots__
     __hash__ = None
-
-    def __init__(self, counts: dict[int, int]) -> None:
-        self._set_fields(counts)
 
     @property
     def total(self) -> int:
@@ -132,11 +128,7 @@ class CensusResult(Record):
     """
 
     __slots__ = ("histogram", "d", "blocks")
-    _fields = __slots__
     __hash__ = None
-
-    def __init__(self, histogram: Histogram, d: int, blocks: list[tuple[int, array]]) -> None:
-        self._set_fields(histogram, d, blocks)
 
     @property
     def hits(self) -> list[WeightVector]:

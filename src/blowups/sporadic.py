@@ -36,7 +36,6 @@ class SporadicRecord(Record):
     """A volume V >= 1 and five residues in [0, V) whose sum is a multiple of V."""
 
     __slots__ = ("V", "b")
-    _fields = __slots__
 
     def __init__(self, V: int, b: tuple[int, int, int, int, int]) -> None:
         b = tuple(map(operator.index, b))

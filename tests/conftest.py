@@ -8,10 +8,10 @@ from math import gcd, inf
 
 from hypothesis import assume, strategies as st
 
-from blowups import WeightVector
 from blowups.exactgeom import (
     EPS_ONE,
     MembershipClass,
+    WeightVector,
     _barycentric_class,
     brute_force_lattice_points,
     checked_eps,
@@ -66,12 +66,12 @@ def flags_from_brute(w: WeightVector, eps=1) -> tuple[bool, bool]:
 
 
 def _unpruned_lattice_points(w, eps):
-    """The coset enumeration without the running-sum cutoff, as plain fields.
+    """The coset enumeration over every class, as plain fields.
 
-    Every class k >= 1 is tested in the original axis order, and whatever
-    passes the sign test is classified whole.  A witness is (k, z, V*point,
-    class): V*point is integral, so the points compare exactly without
-    building a `Fraction` per coordinate.
+    Every class k >= 1 is tested in the original axis order, with no
+    s(k) <= V filter, and whatever passes the sign test is classified whole.
+    A witness is (k, z, V*point, class): V*point is integral, so the points
+    compare exactly without building a `Fraction` per coordinate.
     """
     n, V, d = w.n, w.V, w.d
     a, b = eps.numerator, eps.denominator

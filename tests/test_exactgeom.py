@@ -12,6 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from blowups._record import Record
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups.exactgeom import (
     EPS_ONE,
@@ -30,7 +31,7 @@ from blowups.exactgeom import (
     place_class,
     residue_classes,
 )
-from blowups.families import get_quintuple
+from blowups.families import Quintuple, get_quintuple
 from blowups.projections import ProjectedConfig
 from blowups.search import (
     CensusQuery,
@@ -85,6 +86,10 @@ def test_weight_vector_invariants():
         WeightVector((0, 1, 2))
 
 
+class _Pair(Record):
+    __slots__ = ("a", "b")
+
+
 def test_weight_vector_pickle_round_trip():
     # a record pickles as its constructor and its fields, so loading checks it
     # again and rebuilds what is derived: V, and a configuration's facets; each
@@ -123,6 +128,20 @@ def test_weight_vector_pickle_round_trip():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(r, r._fields[-1])
     assert pickle.loads(pickle.dumps(cfg)).facets == cfg.facets
+    # a record declared by its slots alone takes them as its fields, in order,
+    # through the base constructor, which wants exactly one value per field
+    p = _Pair(1, (2, 3))
+    back = pickle.loads(pickle.dumps(p))
+    assert _Pair._fields == ("a", "b") and type(back) is _Pair and back == p
+    assert repr(back) == "_Pair(a=1, b=(2, 3))" and hash(back) == hash(p)
+    assert p != _Pair((2, 3), 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.b
+    for make in (Histogram, lambda: Quintuple("Q1"), lambda: _Pair(1, 2, 3)):
+        with pytest.raises(TypeError, match="takes"):
+            make()
 
 
 def test_weight_vector_refuses_non_integers():

@@ -418,11 +418,13 @@ def _python(code: str) -> str:
 
 def test_commands_without_a_pool_never_import_one():
     # dataclasses and inspect count only when the package is what loads them,
-    # not a site hook that ran before it
+    # not a site hook that ran before it; the package itself loads no layer
     out = _python(
         "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "before = set(sys.modules)\n"
+        "import blowups\n"
+        "print(sorted(m for m in sys.modules if m.startswith('blowups.')))\n"
         "from blowups import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['classify', '--weights', '32,41,71,102']) == 0\n"
@@ -435,7 +437,7 @@ def test_commands_without_a_pool_never_import_one():
         "             if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    assert out == "[]\n[]\n"
+    assert out == "[]\n[]\n[]\n"
 
 
 def test_pool_class_is_the_module_attribute():
