@@ -62,24 +62,21 @@ class OracleCapExceeded(RuntimeError):
 def checked_eps(eps: Fraction | int | str) -> Fraction:
     """eps as an exact Fraction, refused outside (0, 1], as a binary float, or
     as text other than an integer or p/q in ASCII digits with q > 0."""
-    if type(eps) is Fraction:  # reduced, with a positive denominator
-        if 0 < eps.numerator <= eps.denominator:
-            return eps
-        raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
-    if isinstance(eps, float):
-        raise TypeError(f"eps {eps!r} is a float; pass a Fraction, an int or 'p/q'")
-    if isinstance(eps, str):
-        if not (m := _EPS_TEXT.fullmatch(eps.strip())):
-            raise ValueError(f"epsilon must be an integer or p/q fraction, got {eps!r}")
-        num, den = int(m[1]), int(m[2] or 1)
-        if den == 0:
-            raise ValueError("epsilon denominator is zero")
-        eps = Fraction(num, den)
-    else:
-        eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
-    return eps
+    if type(eps) is not Fraction:
+        if isinstance(eps, float):
+            raise TypeError(f"eps {eps!r} is a float; pass a Fraction, an int or 'p/q'")
+        if isinstance(eps, str):
+            if not (m := _EPS_TEXT.fullmatch(eps.strip())):
+                raise ValueError(f"epsilon must be an integer or p/q fraction, got {eps!r}")
+            num, den = int(m[1]), int(m[2] or 1)
+            if den == 0:
+                raise ValueError("epsilon denominator is zero")
+            eps = Fraction(num, den)
+        else:
+            eps = Fraction(eps)
+    if 0 < eps.numerator <= eps.denominator:  # reduced, with a positive denominator
+        return eps
+    raise ValueError(f"eps must be a rational in (0, 1], got {eps}")
 
 
 def ascii_int(text: str) -> int:

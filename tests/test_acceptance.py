@@ -12,13 +12,14 @@ import os
 import random
 import time
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 from pathlib import Path
 
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
+from blowups.cli import DATASET_ENV
 from blowups.exactgeom import WeightVector
 from blowups.families import APICES, blowup_from_quintuple, bound_dim1, quintuple_table
-from blowups.search import CensusQuery, enumerate_blowups, run_census
+from blowups.search import CensusQuery, run_census
 from blowups.sporadic import (
     EMBEDDED_RECORDS,
     blowups_from_record,
@@ -156,7 +157,7 @@ EXPECTED_SPORADIC_TABLE = {
 
 
 def _dataset_path() -> Path | None:
-    env = os.environ.get("BLOWUPS_SPORADIC_DATA")
+    env = os.environ.get(DATASET_ENV)
     if env and Path(env).exists():
         return Path(env)
     for candidate in sorted(Path(__file__).resolve().parent.parent.glob("data/sporadic*")):

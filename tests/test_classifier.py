@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import hashlib
 import inspect
@@ -17,6 +18,7 @@ from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups.exactgeom import (
     EPS_ONE,
     ORACLE_CAP,
+    LatticeWitness,
     MembershipClass,
     OracleCapExceeded,
     PackedRows,
@@ -121,6 +123,8 @@ def test_weight_vector_pickle_round_trip():
         if isinstance(r, (Histogram, CensusResult)):  # they hold a dict and a list
             with pytest.raises(TypeError, match="unhashable"):
                 hash(r)
+            # hash() raises from the dict alone; the ABC reads `__hash__ = None`
+            assert not isinstance(r, collections.abc.Hashable)
         else:
             assert hash(back) == hash(r)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -128,6 +132,10 @@ def test_weight_vector_pickle_round_trip():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(r, r._fields[-1])
     assert pickle.loads(pickle.dumps(cfg)).facets == cfg.facets
+    # a record equals only a record of its own class
+    w = records[0]
+    assert w.__eq__(w.n) is NotImplemented and w != w.n
+    assert WeightVector((1, 2)) != LatticeWitness(1, MembershipClass.INTERIOR)
     # a record declared by its slots alone takes them as its fields, in order,
     # through the base constructor, which wants exactly one value per field
     p = _Pair(1, (2, 3))

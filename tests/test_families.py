@@ -5,7 +5,7 @@ from math import floor, gcd
 
 import pytest
 
-from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
+from blowups.classifier import is_canonical_fast, is_terminal_fast
 from blowups.families import (
     APICES,
     DivisibilityError,
