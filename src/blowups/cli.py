@@ -284,7 +284,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         chunks, code = args.func(args)
-        with Path(args.out).open("w") if args.out else nullcontext(sys.stdout) as out:
+        with (Path(args.out).open("w", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as out:
             out.writelines(chunks)
             out.flush()  # so a closed pipe fails here, not in the flush at exit
         return code

@@ -161,6 +161,35 @@ def _barycentric_class(coords: Sequence, total) -> MembershipClass:
     return MembershipClass.BOUNDARY_NONVERTEX
 
 
+_WORDS: dict[int, tuple[int, int, int]] = {}  # width -> (count, ones, K)
+
+
+def _counting_words(w: int, m: int) -> tuple[int, int]:
+    """The packed counting words of m fields of w bits, for m < 2^w: `ones`
+    holds 1 in every field and K holds k in field k-1.
+
+    They depend only on (w, m), so the coset pass and `PackedRows` both take
+    them from here.  Per width the longest pair built is kept, at exactly
+    its count c of fields, and a longer one grows from it by doubling, as
+    K_2c is K_c and, above it, K_c + c*ones_c; the result is masked to m
+    fields.  What is kept is the words of the largest index met at each
+    width, about 2 x 11 MB once `classify` has met V ~ 10^6.
+    """
+    count, ones, K = _WORDS.get(w, (1, 1, 1))
+    if m == count:
+        return ones, K
+    c = count
+    while c < m:
+        K |= (K + c * ones) << w * c
+        ones |= ones << w * c
+        c += c
+    fields = (1 << w * m) - 1
+    ones, K = ones & fields, K & fields
+    if m > count:
+        _WORDS[w] = m, ones, K
+    return ones, K
+
+
 class PackedRows:
     """The residues of every weight value at one index V, packed one int a
     value, with one verdict at eps = a/b folded in: the packed census format,
@@ -194,23 +223,23 @@ class PackedRows:
     CPython 3.11 specialises an int index only on an exact list, and a
     subclass would send each of the two row reads through the generic path.
 
-    Row 1 is the low V-1 fields of ones*ones, and row v+1 is row v plus row
-    1, less V in each field that reaches V: the top bits of the sum plus
-    (2^(w-1) - V)*ones, as a field of the sum is below 2V <= 2^(w-1).  In
-    the same way a residue fails where the row plus (2^(w-1) - t)*ones
-    leaves the top bit clear, as 0 <= t <= V.  The rows take (V+1)(V-1)*w
-    bits, about 0.3 MB at d = 4, V = 419.
+    Row 1 is K of `_counting_words`, k in field k-1, and row v+1 is row v
+    plus row 1, less V in each field that reaches V: the top bits of the
+    sum plus (2^(w-1) - V)*ones, as a field of the sum is below
+    2V <= 2^(w-1).  In the same way a residue fails where the row plus
+    (2^(w-1) - t)*ones leaves the top bit clear, as 0 <= t <= V.  The rows
+    take (V+1)(V-1)*w bits, about 0.3 MB at d = 4, V = 419.
     """
 
     def __init__(self, d: int, V: int, eps: Fraction = EPS_ONE, interior: bool = False):
         self.d = d
         self.width = width = (d * V).bit_length() + 1
-        top, low = 1 << width - 1, (1 << width * (V - 1)) - 1
-        ones = low // ((1 << width) - 1)
+        top = 1 << width - 1
+        ones, step = _counting_words(width, V - 1)
         self.mask = mask = top * ones
         self.bias = (top - 1 - V) * ones
         reach = (top - V) * ones
-        row = step = (ones * ones) & low
+        row = step
         rows = [0, step]
         for _ in range(V - 1):
             row += step
@@ -306,13 +335,12 @@ def _coset_classes(n: WeightVector) -> list[int]:
     k*(V+1) - V*Q(k), and Q(k) <= floor(k*(V+1)/V) = k for k < V.  So
     s(k) <= V reads V*(k - Q(k)) <= V - k < V, that is Q(k) = k.
 
-    Each k = 1..V-1 gets a field of B bytes, w = 8*B bits: K holds k in
-    field k-1, built by doubling the count m of fields, as K_2m is K_m and,
-    above it, K_m + m*ones_m.  Every floor comes from one multiply-shift:
-    with x = k*n_i < V^2 <= 2^N, 2^L > V, s = N + L and M = ceil(2^s/V), so
-    that V*M = 2^s + e with 0 <= e < V, x*M/2^s exceeds x/V by
-    x*e/(V*2^s) < V^2/2^s <= 2^-L < 1/V, while frac(x/V) <= 1 - 1/V; so
-    floor(x*M/2^s) = floor(x/V).  B is the least with 2^(w-1) > V^2*M, so no
+    Each k = 1..V-1 gets a field of B bytes, w = 8*B bits: K holds k and
+    `ones` holds 1 in field k-1 (`_counting_words`).  Every floor comes from
+    one multiply-shift: with x = k*n_i < V^2 <= 2^N, 2^L > V, s = N + L and
+    M = ceil(2^s/V), so that V*M = 2^s + e with 0 <= e < V, x*M/2^s exceeds
+    x/V by x*e/(V*2^s) < V^2/2^s <= 2^-L < 1/V, while frac(x/V) <= 1 - 1/V;
+    so floor(x*M/2^s) = floor(x/V).  B is the least with 2^(w-1) > V^2*M, so no
     field of K*(n_i*M) carries; shifted right by s, field k-1 holds
     floor(k*n_i/V) < 2^L in its low L bits and, from bit w - s >= L up, the
     low bits of the field above (V^2*M >= 2^(L-1+s), so w > s + L), which
@@ -327,14 +355,7 @@ def _coset_classes(n: WeightVector) -> list[int]:
     M = -(-(1 << s) // V)
     B = (V * V * M).bit_length() // 8 + 1
     w = 8 * B
-    K = ones = m = 1
-    while m < V - 1:
-        K |= (K + m * ones) << w * m
-        ones |= ones << w * m
-        m += m
-    fields = (1 << w * (V - 1)) - 1
-    K &= fields
-    ones &= fields
+    ones, K = _counting_words(w, V - 1)
     low, mask = ((1 << L) - 1) * ones, ones << w - 1
     Q = sum([(K * (v * M) >> s) & low for v in n.n])
     flags = ((Q + mask - K) & mask).to_bytes(B * (V - 1), "little")[B - 1 :: B]
@@ -358,8 +379,8 @@ def lattice_points_in_shrunk_simplex(
     `place_class` places each.
     """
     eps = checked_eps(eps)
-    placed = [(k, place_class(n, k, eps)) for k in _coset_classes(n)]
-    return [LatticeWitness(k, m) for k, m in placed if m is not OUTSIDE]
+    return [LatticeWitness(k, m) for k in _coset_classes(n)
+            if (m := place_class(n, k, eps)) is not OUTSIDE]
 
 
 def brute_force_lattice_points(

@@ -281,6 +281,21 @@ def test_census_out_file_equals_stdout(tmp_path, capsys, fmt, extra):
     assert target.read_bytes() == out.encode()
 
 
+def test_out_file_names_its_encoding(tmp_path, capsys):
+    # `--out` is opened as UTF-8, as datasets are read: no EncodingWarning
+    # under -X warn_default_encoding, and the same ASCII bytes as stdout
+    argv = ["classify", "--weights", "6,10,15,7"]
+    target = tmp_path / "classify.json"
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "blowups.cli", *argv, "--out", str(target)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    _, out, _ = run(capsys, *argv)
+    assert target.read_bytes() == out.encode("ascii")
+
+
 @pytest.mark.parametrize("argv,code", [
     (("--vmax", "90", "--budget", "10"), 3),
     (("--vmax", "10", "--budget", "-1"), 2),

@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from blowups import exactgeom
 from blowups._record import Record
 from blowups.classifier import classify, is_canonical_fast, is_terminal_fast
 from blowups.exactgeom import (
@@ -25,6 +26,7 @@ from blowups.exactgeom import (
     WeightVector,
     ZeroWeightError,
     _coset_classes,
+    _counting_words,
     ascii_int,
     brute_force_lattice_points,
     checked_eps,
@@ -450,6 +452,65 @@ def test_coset_classes_edges():
         w = WeightVector(n)
         assert all(w.V % v == 0 for v in n)
         _check_coset_classes([w])
+
+
+# ------------------------------------------ packed counting words, one builder
+
+
+def test_counting_words_match_reference(monkeypatch):
+    # every width from 1 to 48 bits, m = 0..300 fields with m < 2^w, each
+    # width grown one field at a time from a cold cache
+    monkeypatch.setattr(exactgeom, "_WORDS", {})
+    for w in range(1, 49):
+        ones = K = 0
+        for m in range(min(301, 2**w)):
+            assert _counting_words(w, m) == (ones, K), (w, m)
+            ones += 1 << w * m
+            K += m + 1 << w * m
+
+
+def test_counting_words_in_any_call_order(monkeypatch):
+    # grow, shrink, repeat a count, and grow from counts that are no power of
+    # two; the longest pair is kept at its count and a repeat returns it
+    monkeypatch.setattr(exactgeom, "_WORDS", {})
+    w, longest = 12, 1
+    for m in [5, 3, 5, 5, 12, 7, 0, 100, 37, 100, 1, 1000, 999, 2, 1000, 1001]:
+        ones, K = _counting_words(w, m)
+        assert ones == sum(1 << w * i for i in range(m)), m
+        assert K == sum(i + 1 << w * i for i in range(m)), m
+        longest = max(longest, m)
+        count, kept_ones, kept_K = exactgeom._WORDS[w]
+        assert count == longest, m
+        if m == longest:
+            assert (kept_ones, kept_K) == (ones, K)
+            again = _counting_words(w, m)
+            assert again[0] is kept_ones and again[1] is kept_K
+
+
+def _cold(monkeypatch, build):
+    monkeypatch.setattr(exactgeom, "_WORDS", {})
+    return build()
+
+
+def test_packed_words_from_a_warm_cache_match_a_cold_one(monkeypatch):
+    # the coset pass at both sides of each byte step, 4 -> 5 bytes included,
+    # after the largest index of its width has warmed the cache
+    rng = random.Random(3)
+    last = {}  # field bytes -> the largest index of the width among the steps
+    for V in _WIDTH_STEPS:
+        last[_field_bytes(V)] = V
+    for V in _WIDTH_STEPS:
+        ws = _compositions(min(4, V + 1), V, rng)
+        cold = [_cold(monkeypatch, lambda: _coset_classes(w)) for w in ws]
+        _coset_classes(WeightVector((1, last[_field_bytes(V)])))
+        assert [_coset_classes(w) for w in ws] == cold, V
+    # the packed census rows, every block, after the largest index of their width
+    for d, V in [(2, 7), (3, 60), (4, 60), (4, 419), (4, 725), (5, 100)]:
+        widest = ((1 << (d * V).bit_length()) - 1) // d
+        for block in _BLOCKS[::3]:
+            cold = _cold(monkeypatch, lambda: PackedRows(d, V, *block).rows)
+            PackedRows(d, widest)
+            assert PackedRows(d, V, *block).rows == cold, (d, V, block)
 
 
 # --------------------------------------- packed verdict bitsets against scalar

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import time
@@ -559,6 +560,26 @@ def test_census_of_few_candidates_fits_in_120_mb():
         "                   '--vmax', '6000', '--threads', '1']))\n"
     )
     assert '"total": 3' in out
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the address-space limit is checked on Linux")
+def test_classify_at_a_million_fits_in_157_mb():
+    # the coset pass at V = 999,999 needs about 140 MB, its counting words
+    # 11 MB each: a builder that kept a second copy of the pair would not fit
+    out = _python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (157_000 * 1024,) * 2)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from blowups import cli\n"
+        "sys.exit(cli.main(['classify', '--weights', '32,41,71,999856']))\n"
+    )
+    point = ["48782/999999", "2/999999", "170735/999999", "1535/6993"]
+    assert out == json.dumps({
+        "V": 999_999, "eps_log_canonical": False, "eps_log_terminal": False,
+        "epsilon": "1", "weights": [32, 41, 71, 999_856],
+        "witness": {"class": "interior", "k": 439_024, "point": point, "z": [0] * 4},
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def test_census_huge_single_index_is_refused_at_once():
