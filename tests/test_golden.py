@@ -169,3 +169,32 @@ def test_golden_output(argv, digest, code, capsys):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the help text of the parser and of each subcommand at 80 columns, taken
+# while `--out` still came from a parent parser
+HELP_GOLDEN = [
+    ((), "b8de8bdc658b1a1d86440cd6bd5f5dfdf583509eea1b5e476b4259b21fe19a51"),
+    (("classify",), "5ae3c8f2bdc4310fd747f27a105a578509895d412cdfe0095bf092cb1d77806b"),
+    (("census",), "a1669a909fe84328259429fec3a81b7d1394c70b0c5a7bed7ecb524a01d0ca2d"),
+    (("family",), "5b0737726101693189823d37b9d9a0026225a344b88eb980c459543f5d82d2f2"),
+    (("family-table",), "72422cb4fd0c625445f785d728c7893f947709d9c82df83bd6debda8a15ed5d2"),
+    (("family-scan",), "200bc38a0ebf3246e6f298b04a78b448122e2c4f795121463991a7ba6320ccae"),
+    (("width",), "a8dd3731b2b2eab9cf84618852af7b9613ab44d943536ea8c810f5e7200a900a"),
+    (("sporadic",), "c5c41ebcba6728a1023a92e8ee48edcd231a540118241f7f815de176d776b3ae"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", HELP_GOLDEN, ids=[" ".join(argv) or "blowups" for argv, _ in HELP_GOLDEN]
+)
+def test_golden_help(argv, digest, capsys, monkeypatch):
+    # argparse wraps help at $COLUMNS, and from Python 3.14 colours it
+    # unless $PYTHON_COLORS is 0
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHON_COLORS", "0")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
