@@ -229,11 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact classification of weighted blowups of affine space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write the output to this file, not stdout")
 
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=[out])
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="write the output to this file, not stdout")
         p.set_defaults(func=func)
         return p
 

@@ -259,10 +259,12 @@ class PackedRows:
         rows = self.rows
         return self.mask & ~sum([rows[v] for v in n], self.bias)
 
-    def passes(self, candidates: Iterable[WeightVector]) -> Iterator[tuple[int, ...]]:
+    def passes(self, candidates: Iterable[WeightVector]) -> list[int]:
         """The weights of each candidate, of d weights, none of whose classes
-        meets the verdict."""
+        meets the verdict: one flat list, d weights a candidate, in candidate
+        order."""
         rows, mask, bias, k = self.rows, self.mask, self.bias, self.d - 2
+        hits = []
         prefix = None
         for w in candidates:
             n = w.n
@@ -272,7 +274,8 @@ class PackedRows:
                 for v in prefix:
                     P += rows[v]
             if (P + rows[n[k]] + rows[n[k + 1]]) & mask == mask:
-                yield n
+                hits += n
+        return hits
 
 
 def residue_classes(n: WeightVector) -> Iterator[int]:

@@ -9,10 +9,9 @@ the first d - 2 weights lazily by `_prefix_runs` and runs the last loop
 itself, so every candidate is built inline and yielded from one generator
 frame, not passed up through one frame per weight.  A block keeps its hits
 as one flat `array` of weights, d per hit, and builds no `WeightVector` for
-them; `CensusResult.hits` builds checked ones on read.  The hits come in lex
-order, each nondecreasing, so the first column of the array is the sorted
-n_min column: the block's histogram counts it, and the min-weight filter
-cuts the array at one `bisect_left` on it.
+them.  The hits come in lex order, each nondecreasing, so the first column
+of the array is the sorted n_min column: the block's histogram counts it,
+and the min-weight filter cuts the array at one `bisect_left` on it.
 
 A block of at least V candidates tests them by `PackedRows.passes` of its
 index, eps and verdict (see `exactgeom.PackedRows`); any other block calls
@@ -36,7 +35,6 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from math import comb, factorial, gcd
 
 from ._record import Record
@@ -123,22 +121,11 @@ class CensusResult(Record):
     The weights of a block are those of its hits in lex order, d per hit,
     each hit nondecreasing, so its smallest weight comes first and the
     block's first column, `weights[::d]`, is its sorted n_min column; the
-    histogram and the min-weight cut were read off that column.  No command
-    reads `hits`, so its vectors go through the checked constructor.
+    histogram and the min-weight cut were read off that column.
     """
 
     __slots__ = ("histogram", "d", "blocks")
     __hash__ = None
-
-    @property
-    def hits(self) -> list[WeightVector]:
-        """The hits as checked vectors, sorted by (V, lex), built on each read."""
-        d = self.d
-        return [
-            WeightVector(tuple(weights[i : i + d]))
-            for _, weights in self.blocks
-            for i in range(0, len(weights), d)
-        ]
 
 
 def _prefix_runs(prefix: tuple[int, ...], g: int, remaining: int, slots: int, lo: int):
@@ -254,8 +241,8 @@ def _census_block(args: tuple[CensusQuery, int, bool]) -> tuple[dict, array]:
         kernel = is_canonical_fast if interior else is_terminal_fast
         if q.eps != 1:  # called bare at eps = 1, the kernel keeps its default eps
             kernel = partial(kernel, eps=q.eps)
-        passing = (w.n for w in candidates if kernel(w))
-    hits = array(_hit_typecode(q.v_max), chain.from_iterable(passing))
+        passing = [x for w in candidates if kernel(w) for x in w.n]
+    hits = array(_hit_typecode(q.v_max), passing)
     n_min = hits[:: q.d]  # sorted: the weights are nondecreasing, the hits in lex order
     del hits[: bisect_left(n_min, q.min_weight or 1) * q.d]
     return Counter(n_min), hits

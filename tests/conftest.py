@@ -132,6 +132,17 @@ def mld_reference(n: WeightVector) -> Fraction | float:
 # ------------------------------------- references and bounds only tests call
 
 
+def census_hits(result) -> list[WeightVector]:
+    """The hits of a census as checked vectors, sorted by (V, lex): each
+    block's flat weight array read d weights at a time."""
+    d = result.d
+    return [
+        WeightVector(tuple(weights[i : i + d]))
+        for _, weights in result.blocks
+        for i in range(0, len(weights), d)
+    ]
+
+
 def kawakita_form(n: WeightVector) -> bool:
     """Dimension-3 terminality normal form: weights (1, a, b) with gcd(a, b) = 1."""
     if n.d != 3:

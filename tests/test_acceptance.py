@@ -28,7 +28,7 @@ from blowups.sporadic import (
     sporadic_report,
 )
 
-from conftest import RATIO_TABLE, flags_from_brute
+from conftest import RATIO_TABLE, census_hits, flags_from_brute
 
 F = Fraction
 
@@ -47,7 +47,7 @@ def test_criterion_1_kawakita_exhaustive():
     t0 = time.monotonic()
     res = run_census(CensusQuery(d=3, v_max=200), workers=1)
     by_v: dict[int, set] = {}
-    for h in res.hits:
+    for h in census_hits(res):
         by_v.setdefault(h.V, set()).add(h.n)
     ok = True
     for V in range(1, 201):
@@ -62,7 +62,7 @@ def test_criterion_1_kawakita_exhaustive():
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60
     _report(1, ok, f"d=3 terminal census V<=200 equals the (1,a,b) sets "
-                   f"({len(res.hits)} classes, {elapsed:.1f}s single-threaded)")
+                   f"({len(census_hits(res))} classes, {elapsed:.1f}s single-threaded)")
 
 
 # criterion 2 ----------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_criterion_8_invariant_suite():
     # census determinism across worker counts
     q = CensusQuery(d=4, v_max=40)
     r1, r2 = run_census(q, workers=1), run_census(q, workers=WORKERS)
-    if r1.histogram.counts != r2.histogram.counts or r1.hits != r2.hits:
+    if r1.histogram.counts != r2.histogram.counts or census_hits(r1) != census_hits(r2):
         ok = False
 
     # fast-path / geometric agreement up to V = 200

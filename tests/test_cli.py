@@ -19,6 +19,8 @@ from blowups.classifier import is_terminal_fast
 from blowups.cli import main, parse_weights
 from blowups.search import CensusQuery, run_census
 
+from conftest import census_hits
+
 
 SRC = str(Path(blowups.__file__).resolve().parents[1])
 
@@ -139,7 +141,7 @@ def _census_reference(query: CensusQuery) -> str:
         "total": result.histogram.total,
         "hits": [
             {"V": h.V, "weights": list(h.n), "n_min": h.n_min}
-            for h in result.hits
+            for h in census_hits(result)
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -635,9 +635,9 @@ def _check_passes(rows, block, window):
     # scalar kernel of the block
     e, interior = block
     kernel = is_canonical_fast if interior else is_terminal_fast
-    got = list(rows.passes(window))
-    assert got == [w.n for w in window if not rows.classes(w.n)], (rows.d, block)
-    assert got == [w.n for w in window if kernel(w, e)], (rows.d, block)
+    got = rows.passes(window)
+    assert got == [x for w in window if not rows.classes(w.n) for x in w.n], (rows.d, block)
+    assert got == [x for w in window if kernel(w, e) for x in w.n], (rows.d, block)
 
 
 def test_packed_field_width_edges():

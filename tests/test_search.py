@@ -31,7 +31,7 @@ from blowups.search import (
     run_census,
 )
 
-from conftest import PRUNE_EPSILONS, flags_from_brute
+from conftest import PRUNE_EPSILONS, census_hits, flags_from_brute
 
 F = Fraction
 
@@ -157,14 +157,14 @@ def _all_partitions(d, V):
 
 def test_census_kawakita_structure():
     res = run_census(CensusQuery(d=3, v_max=60))
-    for h in res.hits:
+    for h in census_hits(res):
         a, b, c = h.n
         assert a == 1 and gcd(b, c) == 1 and b + c == h.V
 
 
 def test_census_histogram_consistency():
     res = run_census(CensusQuery(d=4, v_max=30))
-    assert res.histogram.total == len(res.hits)  # no min-weight filter
+    assert res.histogram.total == len(census_hits(res))  # no min-weight filter
     assert all(k >= 1 for k in res.histogram.counts)
 
 
@@ -189,7 +189,7 @@ def test_census_min_weight_filter():
 
 def test_census_unique_maximizer_at_245():
     res = run_census(CensusQuery(d=4, v_max=245, v_min=245, min_weight=32))
-    assert [(h.n, h.n_min) for h in res.hits] == [((32, 41, 71, 102), 32)]
+    assert [(h.n, h.n_min) for h in census_hits(res)] == [((32, 41, 71, 102), 32)]
 
 
 def test_census_deterministic_across_workers():
@@ -203,7 +203,7 @@ def test_census_deterministic_across_workers():
         b = run_census(q, workers=2)
         c = run_census(q, workers=3)
         assert a.histogram.counts == b.histogram.counts == c.histogram.counts, q
-        assert a.hits == b.hits == c.hits, q
+        assert census_hits(a) == census_hits(b) == census_hits(c), q
     # every verdict, with packed blocks built in pool workers at d = 3..6
     # (at d = 6 each keeps the row sum of a prefix of four weights): the
     # whole result, histogram and hit arrays, at one and two workers
@@ -234,7 +234,7 @@ def test_census_submits_largest_index_first(monkeypatch):
     monkeypatch.setattr(search, "_census_block", recording_block)
     got = run_census(CensusQuery(d=3, v_max=20, v_min=5))
     assert seen == list(range(20, 4, -1))
-    keys = [(h.V, h.n) for h in got.hits]
+    keys = [(h.V, h.n) for h in census_hits(got)]
     assert keys == sorted(keys) and {V for V, _ in keys} == set(range(5, 21))
 
 
@@ -284,7 +284,7 @@ def test_census_keeps_an_index_of_few_candidates_scalar(monkeypatch):
 
     monkeypatch.setattr(search, "PackedRows", refuse)
     got = run_census(CensusQuery(d=398, v_min=400, v_max=400))
-    assert [(h.n.count(1), h.n[-3:]) for h in got.hits] == [
+    assert [(h.n.count(1), h.n[-3:]) for h in census_hits(got)] == [
         (397, (1, 1, 4)), (396, (1, 2, 3)), (395, (2, 2, 2))
     ]
     assert got.histogram.items() == [(1, 3)]
@@ -309,7 +309,7 @@ def test_census_drains_each_index_once_through_the_module_global(monkeypatch):
 
     monkeypatch.setattr(search, "enumerate_blowups", eager)
     got = run_census(q)
-    assert got.histogram == unwrapped.histogram and got.hits == unwrapped.hits
+    assert got.histogram == unwrapped.histogram and census_hits(got) == census_hits(unwrapped)
 
     def primitive(V):  # the primitive partitions of V + 1 into 4 parts
         parts = combinations_with_replacement(range(1, V), 4)
@@ -362,7 +362,7 @@ def test_census_matches_scalar_kernels_exhaustive(d, vmax):
         kernel = is_canonical_fast if verdict in ("canonical", "eps-lc") else is_terminal_fast
         expected = [w for w in ws if kernel(w, eps)]
         got = run_census(CensusQuery(d=d, v_max=vmax, eps=eps, verdict=verdict))
-        assert got.hits == expected, (verdict, eps)
+        assert census_hits(got) == expected, (verdict, eps)
         assert got.histogram.counts == Counter(w.n_min for w in expected), (verdict, eps)
 
 
@@ -520,7 +520,7 @@ def test_census_huge_dimension_is_immediate():
     # no partition of V+1 <= 4 has 10**9 parts; the count must not loop to d
     t = time.perf_counter()
     result = run_census(CensusQuery(d=10**9, v_max=3))
-    assert result.hits == [] and result.histogram.total == 0
+    assert census_hits(result) == [] and result.histogram.total == 0
     assert time.perf_counter() - t < 5
 
 
@@ -543,7 +543,7 @@ def test_census_dimension_near_or_above_the_index():
     assert projected_candidates(CensusQuery(d=3000, v_max=3000)) == 2
     assert projected_candidates(CensusQuery(d=10**6, v_max=10**6)) == 2
     result = run_census(CensusQuery(d=10**7, v_max=10**6))
-    assert result.hits == [] and result.histogram.total == 0
+    assert census_hits(result) == [] and result.histogram.total == 0
     assert time.perf_counter() - t < 0.5
 
 
@@ -638,7 +638,7 @@ def test_census_agrees_with_brute_force_oracle(verdict, flag):
     for d, vmax in ((2, 40), (3, 40)):
         res = run_census(CensusQuery(d=d, v_max=vmax, verdict=verdict))
         expected = {key for key, f in _brute_flags(d, vmax).items() if f[flag]}
-        assert {(h.V, h.n) for h in res.hits} == expected, (d, verdict)
+        assert {(h.V, h.n) for h in census_hits(res)} == expected, (d, verdict)
 
 
 def test_census_eps_verdicts_match_classify():
@@ -649,7 +649,7 @@ def test_census_eps_verdicts_match_classify():
         }
         for verdict, flag in (("eps-lt", "eps_log_terminal"), ("eps-lc", "eps_log_canonical")):
             res = run_census(CensusQuery(d=3, v_max=14, eps=eps, verdict=verdict))
-            got = {h.n for h in res.hits}
+            got = {h.n for h in census_hits(res)}
             expected = {n for n, v in verdicts.items() if getattr(v, flag)}
             assert got == expected, (eps, verdict)
 
