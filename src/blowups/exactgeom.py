@@ -260,9 +260,8 @@ class PackedRows:
         return self.mask & ~sum([rows[v] for v in n], self.bias)
 
     def passes(self, candidates: Iterable[WeightVector]) -> list[int]:
-        """The weights of each candidate, of d weights, none of whose classes
-        meets the verdict: one flat list, d weights a candidate, in candidate
-        order."""
+        """The weights, d a candidate in candidate order, of the candidates of
+        d weights none of whose classes meets the verdict, in one flat list."""
         rows, mask, bias, k = self.rows, self.mask, self.bias, self.d - 2
         hits = []
         prefix = None
